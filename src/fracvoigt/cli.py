@@ -245,7 +245,7 @@ def _cmd_ml(args: argparse.Namespace) -> int:
 def _cmd_creep(args: argparse.Namespace) -> int:
     params = _model_params(args)
     grid = _grid(args)
-    values = np.array([creep_function(params, float(t)) for t in grid.points])
+    values = creep_function(params, grid.points)
     out, close = _open_output(args.output)
     try:
         _write_csv(out, grid, values, [])

@@ -14,8 +14,8 @@ product-trapezoidal weights
 which is exact for piecewise-linear data and converges at rate O(h^(1+a))
 for smooth integrands.  The Mittag-Leffler kernel convolution reuses the
 same weights with the kernel folded into the nodal values; the kernel is
-translation invariant on a uniform grid, so only n+1 kernel evaluations are
-needed per (grid, parameters) pair, and they are memoized.
+translation invariant on a uniform grid, so one array evaluation of n+1
+kernel samples serves each (grid, parameters) pair, and it is memoized.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise DomainError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # bool is an int subclass
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
 
     @property
@@ -131,10 +131,7 @@ def rl_integral(alpha: float, f: Signal) -> Signal:
 @lru_cache(maxsize=64)
 def _kernel_profile(alpha: float, tau: float, h: float, n: int) -> np.ndarray:
     """Kernel samples E[a,a](-((m*h)/tau)^a) for offsets m = 0..n."""
-    p = MLParams(alpha, alpha)
-    prof = np.empty(n + 1)
-    for m in range(n + 1):
-        prof[m] = ml_eval(p, -(((m * h) / tau) ** alpha))
+    prof = ml_eval(MLParams(alpha, alpha), -(((np.arange(n + 1) * h) / tau) ** alpha))
     prof.setflags(write=False)
     return prof
 

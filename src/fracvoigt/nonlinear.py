@@ -171,7 +171,7 @@ class ProbeConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_small < self.upper):
             raise DomainError("probe needs 0 < eps_small < upper")
-        if not isinstance(self.samples, int) or self.samples < 3:
+        if type(self.samples) is not int or self.samples < 3:  # rejects bool
             raise DomainError(f"samples must be an integer >= 3, got {self.samples!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise DomainError(f"tol must be nonnegative, got {self.tol!r}")

@@ -1,20 +1,25 @@
 """Two-parameter Mittag-Leffler function on the real line.
 
-``ml_eval`` computes E[a,b](z) = sum_n z^n / Gamma(a*n + b) for real z to an
-absolute-or-relative accuracy of 1e-10 on the supported domain
-(-Z_MAX_NEG <= z <= Z_MAX_POS).  Four evaluation branches cooperate:
+``ml_eval`` computes E[a,b](z) = sum_n z^n / Gamma(a*n + b) for a real
+scalar or array z to an absolute-or-relative accuracy of 1e-10 on the
+supported domain (-Z_MAX_NEG <= z <= Z_MAX_POS).  A scalar in gives a float
+out; an array in gives an array of the same shape out.  One boolean-mask
+selector, ``_branch_masks``, splits the arguments over four branches
+(z = 0 gives 1/Gamma(b) exactly):
 
-* Taylor series with term-ratio truncation, used whenever the float64
-  cancellation estimate stays far below the target accuracy.  For z >= 0 the
-  terms are single-signed and the series is used exclusively.
+* Taylor series with term-ratio truncation for z > 0, where the terms are
+  single-signed, and for 1 < a <= 2, where a cancelled sum on the negative
+  axis raises rather than degrades.
 * A stabilized confluent-series reduction for a == 1 and z < 0 (the
   alternating exponential-type series is rewritten so that all terms after
   factoring e^z are single-signed), exact to rounding for every b > 0.
-* A Bromwich-type real integral for 0 < a < 1 in the mid-range of the
-  negative axis, where the float64 series cancels catastrophically and the
-  divergent asymptotic expansion has not yet kicked in.  Orders b > 1 are
-  reduced to b0 <= 1 with the exact shift
-  E[a,b0+a](z) = (E[a,b0](z) - 1/Gamma(b0)) / z.
+* For 0 < a < 1 and z = -x < 0 with u = x^(1/a) < 36, the Bromwich
+  integral E[a,b](-x) = 1/(2 pi i) int e^s s^(a-b) / (s^a + x) ds on the
+  parabolic contour s = mu (1 + i v)^2, discretized by the trapezoidal rule
+  in v with fixed nodes (Weideman & Trefethen, Math. Comp. 76 (2007);
+  Garrappa, SIAM J. Numer. Anal. 53 (2015)).  The weights
+  e^s s^(a-b) ds/dv do not depend on x, so they are built once per (a, b)
+  and every x is then a short weighted sum of 1/(s^a + x).
 * The algebraic asymptotic expansion in 1/z for large negative z, truncated
   adaptively at its smallest term.
 
@@ -26,11 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, gammasgn
 
 from .errors import AccuracyError, DomainError
 
@@ -40,10 +44,6 @@ __all__ = ["MLParams", "ml_eval", "ml_one", "ml_deriv_sign_probe"]
 Z_MAX_NEG = 100.0
 Z_MAX_POS = 30.0
 
-# Series is attempted on the negative axis only while |z|^(1/a) stays below
-# this; beyond it the float64 partial sums are guaranteed to cancel
-# catastrophically relative to the 1e-10 target.
-_SERIES_U_MAX = 30.0
 # The asymptotic expansion, truncated at its smallest term, has remainder
 # ~exp(-|z|^(1/a)); requiring |z|^(1/a) >= 36 keeps that below 1e-15.
 _ASYM_U_MIN = 36.0
@@ -53,11 +53,24 @@ _SERIES_MAX_TERMS = 8000
 # small orders need room (a = 0.015 at the domain edge is still covered)
 _ASYM_MAX_TERMS = 2500
 
-# Accept a series result only when the cancellation estimate leaves two
-# orders of magnitude of headroom below the 1e-10 contract.
-_SERIES_ACCEPT = 1e-12
-
 _EPS = 2.22e-16
+
+# Parabolic contour s = mu (1 + i v)^2 with trapezoidal nodes v_k = k*h,
+# k = 0.._CONTOUR_N (the mirror half is the complex conjugate).  With the
+# cut of s^a mapped to Im v = 1, the discretization error is ~e^(-2 pi/h),
+# the truncation error ~e^(mu (1 - (N h)^2)) and the rounding ~eps e^mu.
+# These values keep the worst error near 4e-14 against mpmath for
+# 0.02 <= a < 1, 0.01 <= b <= 4 and u <= 36; a small mu keeps the rounding
+# noise of the h = 1e-3 third differences in the complete-monotonicity
+# probe near 6e-7 (it was 5e-6 at N = 18, mu = 5).  For b > _CONTOUR_MU the
+# parabola crosses the real axis at b instead, the saddle of e^s s^-b;
+# at mu = 3.25 the error would grow to ~1e-9 at b = 15.  Past
+# _CONTOUR_MU_MAX the integrand is below e^(mu - b ln mu) < 1e-46 along
+# the whole contour, so the cap only keeps e^mu finite.
+_CONTOUR_N = 22
+_CONTOUR_MU = 3.25
+_CONTOUR_MU_MAX = 40.0
+_CONTOUR_H = 3.1 / _CONTOUR_N
 
 
 @dataclass(frozen=True)
@@ -85,10 +98,12 @@ class MLParams:
 
 def _recip_gamma_log(w: float) -> tuple[float, float]:
     """Return (sign, log magnitude) of 1/Gamma(w); sign 0 at poles."""
-    if w <= 0.0 and w == math.floor(w):
+    if w > 0.0:
+        return 1.0, -lgamma(w)
+    if w == math.floor(w):
         return 0.0, -math.inf  # pole of Gamma: 1/Gamma vanishes
-    sgn = float(gammasgn(w))
-    return sgn, -float(gammaln(w))
+    # Gamma alternates in sign between consecutive negative integers
+    return (-1.0) ** (math.floor(-w) + 1), -lgamma(w)
 
 
 def _series(alpha: float, beta: float, z: float) -> tuple[float, float]:
@@ -142,6 +157,23 @@ def _series(alpha: float, beta: float, z: float) -> tuple[float, float]:
         )
     value = math.fsum(terms)
     return value, _EPS * err_max
+
+
+def _series_checked(alpha: float, beta: float, z: float) -> float:
+    """Series branch value.  The negative axis reaches it only for
+    alpha > 1, where no other branch exists, so a cancelled sum raises."""
+    if alpha == 1.0 and beta == 1.0:
+        return math.exp(z)  # exact exponential reduction
+    value, cancel = _series(alpha, beta, z)
+    # accept anything that still clears the 1e-10 contract with a factor-5
+    # margin (the estimate is itself conservative); beyond that an honest
+    # error beats a degraded value
+    if z < 0.0 and cancel > 2e-11 * max(1.0, abs(value)):
+        raise AccuracyError(
+            f"no branch reaches the accuracy target for "
+            f"E[{alpha},{beta}]({z})"
+        )
+    return value
 
 
 def _confluent_neg(beta: float, x: float) -> float:
@@ -220,161 +252,115 @@ def _asymptotic_neg(alpha: float, beta: float, x: float) -> tuple[float, float]:
     return total, est
 
 
-def _bromwich_integrand(s: float, alpha: float, beta: float, x: float) -> float:
-    if s <= 0.0:
-        return 0.0
-    den = s * s + 2.0 * s * x * math.cos(math.pi * alpha) + x * x
-    num = s * math.sin(math.pi * (1.0 - beta)) + x * math.sin(
-        math.pi * (1.0 + alpha - beta)
-    )
-    return (
-        math.exp(-(s ** (1.0 / alpha)))
-        * s ** ((1.0 - beta) / alpha)
-        * num
-        / (den * math.pi * alpha)
-    )
+@lru_cache(maxsize=256)
+def _contour_nodes(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
+    """Per node of the upper half of the parabola, the tuple
+    (Re s^a, Im s^a, Re g, Im g) with trapezoidal weight
+    g = (h/pi) e^s s^(a-b) ds/dv (halved at v = 0)."""
+    mu = min(max(_CONTOUR_MU, beta), _CONTOUR_MU_MAX)
+    v = np.arange(_CONTOUR_N + 1) * _CONTOUR_H
+    s = mu * (1.0 + 1j * v) ** 2
+    ds = 2j * mu * (1.0 + 1j * v)
+    g = (_CONTOUR_H / math.pi) * np.exp(s) * s ** (alpha - beta) * ds
+    g[0] *= 0.5
+    s_a = s**alpha
+    parts = (s_a.real, s_a.imag, g.real, g.imag)
+    return tuple(zip(*(part.tolist() for part in parts)))
 
 
-def _integral_neg(alpha: float, beta: float, x: float) -> float:
-    """E[a,b](-x) for 0 < a < 1 via the real Bromwich-contour integral,
-    parameterized so the denominator is an honest quadratic:
+def _integral_neg(alpha: float, beta: float, x):
+    """E[a,b](-x) for 0 < a < 1 by the fixed-node rule on the parabolic
+    Bromwich contour, E[a,b](-x) = Im sum_k g_k / (s_k^a + x).
 
-      E[a,b](-x) = 1/(a*pi) * int_0^inf  s^((1-b)/a) * exp(-s^(1/a))
-                   * (s*sin(pi(1-b)) + x*sin(pi(1+a-b)))
-                   / (s^2 + 2sx*cos(pi a) + x^2)  ds.
-
-    Valid as written for b <= 1 (bounded endpoint); larger b is reduced
-    first and shifted back up with the exact term-shift identity, whose
-    error shrinks by a factor |z| = x per step.
+    x is a float or an array; either way every point sees the same float64
+    operations in the same order, so both give bit-identical values.  The
+    contour passes right of every singularity of s^(a-b) / (s^a + x) and
+    through the saddle of e^s s^-b once b > _CONTOUR_MU, so orders b > 1
+    need no reduction (test_special checks b up to 1e6 against mpmath).
     """
-    m = 0
-    beta0 = beta
-    if beta > 1.0:
-        m = math.ceil((beta - 1.0) / alpha - 1e-12)
-        beta0 = beta - m * alpha
-
-    pieces = [0.0, 1.0]  # exp(-s^(1/a)) switches off near s = 1 for small a
-    cos_api = math.cos(math.pi * alpha)
-    if cos_api < 0.0:
-        # denominator minimum at s = x*|cos(pi a)|: sharp for alpha near 1
-        s_peak = -x * cos_api
-        pieces.extend([0.5 * s_peak, s_peak, 2.0 * s_peak])
-    s_cut = max(10.0, 2.0 * 45.0**alpha, 2.0 * max(pieces))
-    pieces.append(s_cut)
-    pieces = sorted(set(pieces))
-
     total = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        val, _ = quad(
-            _bromwich_integrand,
-            lo,
-            hi,
-            args=(alpha, beta0, x),
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=300,
-        )
-        total += val
-    tail, _ = quad(
-        _bromwich_integrand,
-        s_cut,
-        np.inf,
-        args=(alpha, beta0, x),
-        epsabs=1e-14,
-        epsrel=1e-12,
-        limit=100,
-    )
-    total += tail
-
-    value = total
-    b = beta0
-    for _ in range(m):
-        value = (value - 1.0 / math.gamma(b)) / (-x)
-        b += alpha
-    return value
+    for p, q, gr, gi in _contour_nodes(alpha, beta):
+        d = x + p  # Re(s^a + x)
+        total = total + (gi * d - gr * q) / (d * d + q * q)
+    return total
 
 
-def _eval_branch(alpha: float, beta: float, z: float) -> str:
-    """Select the evaluation branch for (alpha, beta, z); z within caps."""
-    if z == 0.0:
-        return "exact-zero"
-    if z > 0.0:
-        return "series"
-    x = -z
-    if alpha == 1.0:
-        return "confluent"
+def _branch_masks(alpha: float, z):
+    """Masks (zero, series, confluent, contour, asymptotic) over z, a float
+    (masks are bools) or a float array (boolean arrays); every point lies in
+    exactly one of them."""
+    zero = z == 0.0
+    none = z != z  # z is finite
     if alpha > 1.0:
-        return "series"
-    u = x ** (1.0 / alpha)
-    if u >= _ASYM_U_MIN:
-        return "asymptotic"
-    if u <= _SERIES_U_MAX:
-        return "series-or-integral"
-    return "integral"
+        return zero, z != 0.0, none, none, none
+    if alpha == 1.0:
+        return zero, z > 0.0, z < 0.0, none, none
+    x_asym = _ASYM_U_MIN**alpha  # |z|^(1/a) >= 36
+    return zero, z > 0.0, none, (z < 0.0) & (z > -x_asym), z <= -x_asym
 
 
-def _eval_on_branch(alpha: float, beta: float, z: float, branch: str) -> float:
-    if branch == "exact-zero" or z == 0.0:
-        return 1.0 / math.gamma(beta)
-    if branch == "confluent":
-        if z > 0.0:
-            branch = "series"
-        else:
-            return _confluent_neg(beta, -z)
-    if branch == "asymptotic":
-        if z >= 0.0:
-            branch = "series"
-        else:
-            value, _ = _asymptotic_neg(alpha, beta, -z)
-            return value
-    if z > 0.0 and branch in ("integral", "series-or-integral", "series-forced"):
-        branch = "series"  # stencil points may cross to the positive axis
-    if branch == "integral":
-        return _integral_neg(alpha, beta, -z)
-    if branch == "series-or-integral":
-        value, cancel = _series(alpha, beta, z)
-        if cancel <= _SERIES_ACCEPT * max(1.0, abs(value)):
-            return value
-        return _integral_neg(alpha, beta, -z)
-    if branch == "series-forced":
-        value, _ = _series(alpha, beta, z)
-        return value
-    # plain series (z > 0, or alpha > 1)
-    value, cancel = _series(alpha, beta, z)
-    # no fallback branch exists here, so accept anything that still clears
-    # the 1e-10 contract with a factor-5 margin (the estimate is itself
-    # conservative); beyond that an honest error beats a degraded value
-    if z < 0.0 and cancel > 2e-11 * max(1.0, abs(value)):
+# one (evaluator, takes arrays) pair per mask of _branch_masks; evaluators
+# map (alpha, beta, z) to E[alpha,beta](z)
+_BRANCHES = (
+    (lambda alpha, beta, z: 1.0 / math.gamma(beta), True),
+    (_series_checked, False),
+    (lambda alpha, beta, z: _confluent_neg(beta, -z), False),
+    (lambda alpha, beta, z: _integral_neg(alpha, beta, -z), True),
+    (lambda alpha, beta, z: _asymptotic_neg(alpha, beta, -z)[0], False),
+)
+
+
+def _eval_masked(alpha: float, beta: float, z: np.ndarray, masks) -> np.ndarray:
+    """Evaluate E[a,b] at the points of the 1-d array z on the branches
+    given by masks."""
+    out = np.empty_like(z)
+    for mask, (evaluate, on_arrays) in zip(masks, _BRANCHES):
+        if on_arrays:
+            if mask.any():
+                out[mask] = evaluate(alpha, beta, z[mask])
+        else:  # the adaptive branches run per point
+            for i in np.flatnonzero(mask):
+                out[i] = evaluate(alpha, beta, float(z[i]))
+    return out
+
+
+def _check_domain(z_min: float, z_max: float) -> None:
+    """Raise unless every z in [z_min, z_max] is finite and within the caps."""
+    for z in (z_min, z_max):
+        if not math.isfinite(z):
+            raise DomainError(f"z must be finite, got {float(z)!r}")
+    if z_max > Z_MAX_POS or z_min < -Z_MAX_NEG:
+        bad = z_max if z_max > Z_MAX_POS else z_min
         raise AccuracyError(
-            f"no branch reaches the accuracy target for "
-            f"E[{alpha},{beta}]({z})"
-        )
-    return value
-
-
-def ml_eval(p: MLParams, z: float) -> float:
-    """Evaluate E[alpha,beta](z) for real z.
-
-    Absolute-or-relative accuracy is 1e-10 or better on the supported domain
-    -Z_MAX_NEG <= z <= Z_MAX_POS.  Raises AccuracyError when z lies outside
-    the caps or (for rapidly growing cases at small alpha) when no branch
-    converges to tolerance.
-    """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
-    if z > Z_MAX_POS or z < -Z_MAX_NEG:
-        raise AccuracyError(
-            f"z={z} outside the supported domain "
+            f"z={float(bad)} outside the supported domain "
             f"[-{Z_MAX_NEG:g}, {Z_MAX_POS:g}]"
         )
-    if p.alpha == 1.0 and p.beta == 1.0:
-        return math.exp(z)  # exact exponential reduction
-    branch = _eval_branch(p.alpha, p.beta, z)
-    return _eval_on_branch(p.alpha, p.beta, z, branch)
 
 
-def ml_one(alpha: float, z: float) -> float:
+def ml_eval(p: MLParams, z):
+    """Evaluate E[alpha,beta](z) for a real scalar or array z.
+
+    A scalar gives a float, an array an array of the same shape, equal bit
+    for bit to evaluating its elements one at a time.  Absolute-or-relative
+    accuracy is 1e-10 or better on the supported domain
+    -Z_MAX_NEG <= z <= Z_MAX_POS.  Raises AccuracyError when any z lies
+    outside the caps or (for rapidly growing cases at small alpha) when no
+    branch converges to tolerance.
+    """
+    if np.ndim(z) == 0:
+        z = float(z)
+        _check_domain(z, z)
+        evaluate, _ = _BRANCHES[_branch_masks(p.alpha, z).index(True)]
+        return evaluate(p.alpha, p.beta, z)
+    arr = np.asarray(z, dtype=float)
+    flat = arr.ravel()
+    if flat.size:
+        _check_domain(flat.min(), flat.max())
+    out = _eval_masked(p.alpha, p.beta, flat, _branch_masks(p.alpha, flat))
+    return out.reshape(arr.shape)
+
+
+def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E[alpha](z) = E[alpha,1](z)."""
     return ml_eval(MLParams(alpha, 1.0), z)
 
@@ -391,9 +377,9 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
     """n-th central finite difference (divided by h^n) of t -> E[a,b](-t)
     at t = x, used by the complete-monotonicity test suite.
 
-    All stencil points are evaluated on the branch selected at the stencil
-    center so that inter-branch offsets of ~1e-13 cannot masquerade as sign
-    changes in the third difference.
+    All stencil points on the negative axis are evaluated on the branch
+    selected at the stencil center so that inter-branch offsets of ~1e-13
+    cannot masquerade as sign changes in the third difference.
     """
     if not isinstance(n, int) or not 0 <= n <= 3:
         raise DomainError(f"difference order n must be an int in [0, 3], got {n!r}")
@@ -406,18 +392,12 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
             "probe requires 0 < alpha <= 1 and beta >= alpha "
             f"(got alpha={p.alpha}, beta={p.beta})"
         )
+    stencil = _PROBE_STENCILS[n]
+    z = -(x + np.array([offset for offset, _ in stencil]) * h)
     center = -x if x > 0.0 else -h
-    branch = _eval_branch(p.alpha, p.beta, center)
-    if branch == "series-or-integral":
-        # Resolve the adaptive choice once, at the center, so every stencil
-        # point follows the same smooth branch.
-        value, cancel = _series(p.alpha, p.beta, center)
-        if cancel <= _SERIES_ACCEPT * max(1.0, abs(value)):
-            branch = "series-forced"
-        else:
-            branch = "integral"
+    masks = _branch_masks(p.alpha, np.where(z < 0.0, center, z))
+    values = _eval_masked(p.alpha, p.beta, z, masks)
     acc = 0.0
-    for offset, coeff in _PROBE_STENCILS[n]:
-        t = x + offset * h
-        acc += coeff * _eval_on_branch(p.alpha, p.beta, -t, branch)
+    for (_, coeff), value in zip(stencil, values):
+        acc += coeff * float(value)
     return acc / h**n if n > 0 else acc

@@ -69,7 +69,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"tol must be positive, got {self.tol!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+        if type(self.max_iter) is not int or self.max_iter < 1:  # rejects bool
             raise DomainError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -94,14 +94,28 @@ def linear_strain(params: VoigtParams, stress: Signal) -> Signal:
     return ml_kernel_convolve(params, stress)
 
 
-def creep_function(params: VoigtParams, t: float) -> float:
-    """Creep function: strain response to unit constant stress.
+def _creep_times(t):
+    """Validated creep times: a scalar becomes a float, anything else an
+    array; every time must be finite and nonnegative."""
+    if np.ndim(t) == 0:
+        t = float(t)
+        valid = math.isfinite(t) and t >= 0.0
+    else:
+        t = np.asarray(t, dtype=float)
+        valid = bool(np.all(np.isfinite(t) & (t >= 0.0)))
+    if not valid:
+        raise DomainError(f"creep time must be nonnegative, got {t!r}")
+    return t
+
+
+def creep_function(params: VoigtParams, t):
+    """Creep function: strain response to unit constant stress, at a time
+    or an array of times (a float or an array out).
 
     Nonnegative, nondecreasing, bounded by (tau/eta)^alpha; reduces to
     (1/E)(1 - exp(-t/tau)) at alpha = 1.
     """
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"creep time must be nonnegative, got {t!r}")
+    t = _creep_times(t)
     tau = params.tau
     a = params.alpha
     return (tau / params.eta) ** a * (1.0 - ml_one(a, -((t / tau) ** a)))

@@ -13,12 +13,19 @@ exact erfc identity at alpha = 1/2 (see test_special).
 Regenerate the frozen acceptance reference table with:
 
     python tests/oracles.py tests/data/ml_reference.csv
+
+Rows already present are kept byte for byte and only missing rows are
+computed, one worker process per CPU; delete the file first to recompute
+every row.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import math
+import multiprocessing
+import os
 import sys
 
 import mpmath as mp
@@ -126,23 +133,50 @@ def rk4_solve(f, y0: float, t_grid, substeps: int = 20):
 
 
 def _acceptance_grid():
-    """(alpha, beta, z) triples of the Mittag-Leffler acceptance sweep."""
+    """(alpha, beta, z) triples of the Mittag-Leffler acceptance sweep, in
+    table order: the original 16 pairs on [-50, 5], the same pairs on
+    [-100, -50), then alpha in {0.1, 0.9, 0.99} on [-100, 0]."""
     values = [0.25, 0.5, 0.75, 1.0]
-    z_grid = [(-50.0 + 55.0 * i / 499.0) for i in range(500)]
-    for alpha in values:
-        for beta in values:
-            for z in z_grid:
-                yield alpha, beta, z
+    blocks = [
+        (values, [(-50.0 + 55.0 * i / 499.0) for i in range(500)]),
+        (values, [(-100.0 + 50.0 * i / 250.0) for i in range(250)]),
+        ([0.1, 0.9, 0.99], [(-100.0 + 100.0 * i / 249.0) for i in range(250)]),
+    ]
+    for alphas, z_grid in blocks:
+        for alpha in alphas:
+            for beta in values:
+                for z in z_grid:
+                    yield alpha, beta, z
+
+
+def _ref_row(triple):
+    alpha, beta, z = triple
+    return [repr(alpha), repr(beta), repr(z), repr(ml_ref(alpha, beta, z))]
 
 
 def regenerate_reference(path: str) -> None:
+    """Write the reference table.  Rows already in the file at path are
+    kept byte for byte; only missing rows cost mpmath time, spread over
+    one process per CPU."""
+    known = {}
+    if os.path.exists(path):
+        with open(path, newline="") as fh:
+            for row in list(csv.reader(fh))[1:]:
+                known[tuple(row[:3])] = row
+    grid = list(_acceptance_grid())
+    todo = [t for t in grid if tuple(map(repr, t)) not in known]
+    print(f"  {len(grid)} rows, {len(todo)} to compute", file=sys.stderr)
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(mp_context=spawn) as pool:
+        for i, row in enumerate(pool.map(_ref_row, todo, chunksize=8)):
+            known[tuple(row[:3])] = row
+            if i % 500 == 0:
+                print(f"  {i} rows done", file=sys.stderr)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "z", "value"])
-        for i, (alpha, beta, z) in enumerate(_acceptance_grid()):
-            writer.writerow([repr(alpha), repr(beta), repr(z), repr(ml_ref(alpha, beta, z))])
-            if i % 500 == 0:
-                print(f"  {i} rows done", file=sys.stderr)
+        for triple in grid:
+            writer.writerow(known[tuple(map(repr, triple))])
 
 
 if __name__ == "__main__":

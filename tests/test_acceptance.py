@@ -48,7 +48,9 @@ def test_criterion_01_ml_against_extended_precision_oracle():
             rows.append(
                 (float(row["alpha"]), float(row["beta"]), float(row["z"]), float(row["value"]))
             )
-    assert len(rows) == 16 * 500
+    # 16 (alpha, beta) pairs on [-50, 5] and on [-100, -50), then
+    # alpha in {0.1, 0.9, 0.99} on [-100, 0] (tests/oracles.py)
+    assert len(rows) == 16 * 500 + 16 * 250 + 12 * 250
 
     params = {}
     t0 = time.perf_counter()
@@ -66,7 +68,7 @@ def test_criterion_01_ml_against_extended_precision_oracle():
     rng = random.Random(99)
     for a, b, z, ref in rng.sample(rows, 10):
         assert abs(ml_ref(a, b, z) - ref) <= 1e-12 * max(1.0, abs(ref))
-    report(1, f"8000 points, worst abs-or-rel {worst:.2e}, {elapsed:.2f}s")
+    report(1, f"{len(rows)} points, worst abs-or-rel {worst:.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_02_exponential_reduction():

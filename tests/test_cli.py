@@ -1,8 +1,10 @@
 """Command-line interface: dispatch, CSV schema, exit codes, determinism."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +292,23 @@ class TestDeterminism:
         ]
         assert run(args + ["-o", str(a)]) == 0
         assert run(args + ["-o", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_creep_body_identical_in_fresh_process(self, tmp_path):
+        # t/tau reaches 60, so the table crosses the contour/asymptotic
+        # switch; a fresh interpreter starts with an empty node cache
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = [
+            "creep", "--alpha", "0.7", "--eta", "1", "--e-mod", "2",
+            "--t-end", "30", "--n", "300",
+        ]
+        assert run(args + ["-o", str(a)]) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-m", "fracvoigt", *args, "-o", str(b)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
         assert a.read_bytes() == b.read_bytes()
 
 

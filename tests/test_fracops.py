@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fracvoigt.errors import DomainError
-from fracvoigt.fracops import Grid, Signal, ml_kernel_convolve, rl_integral
+from fracvoigt.fracops import Grid, Signal, _kernel_profile, ml_kernel_convolve, rl_integral
+from fracvoigt.special import MLParams, ml_eval
 from fracvoigt.voigt import VoigtParams, creep_function
 
 
@@ -25,6 +26,11 @@ class TestGridSignal:
     def test_grid_validation(self, t_end, n):
         with pytest.raises(DomainError):
             Grid(t_end, n)
+
+    def test_grid_rejects_bool_n(self):
+        # bool is an int subclass; Grid(1.0, True) must not mean n = 1
+        with pytest.raises(DomainError):
+            Grid(1.0, True)
 
     def test_signal_length_checked(self):
         g = Grid(1.0, 4)
@@ -105,6 +111,18 @@ class TestRlIntegral:
 
 
 class TestMlKernelConvolve:
+    def test_kernel_profile_matches_per_offset_loop(self):
+        # offsets reach t/tau = 60, past the contour/asymptotic switch at 36
+        alpha, tau, h, n = 0.6, 0.5, 0.05, 600
+        prof = _kernel_profile(alpha, tau, h, n)
+        p = MLParams(alpha, alpha)
+        args = -(((np.arange(n + 1) * h) / tau) ** alpha)
+        assert prof.tolist() == [ml_eval(p, float(z)) for z in args]
+        # the loop this array call replaced formed each argument with Python
+        # float arithmetic, which may differ from numpy's power in the last bit
+        old_loop = [ml_eval(p, -(((m * h) / tau) ** alpha)) for m in range(n + 1)]
+        np.testing.assert_allclose(prof, old_loop, rtol=1e-13, atol=1e-14)
+
     def test_zero_stress(self):
         p = VoigtParams(1.0, 2.0, 0.5)
         out = ml_kernel_convolve(p, Signal.zeros(Grid(1.0, 32)))

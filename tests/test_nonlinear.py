@@ -217,3 +217,7 @@ class TestCheckHypotheses:
             ProbeConfig(eps_small=1.0, upper=0.5)
         with pytest.raises(DomainError):
             ProbeConfig(samples=2)
+
+    def test_probe_rejects_bool_samples(self):
+        with pytest.raises(DomainError):
+            ProbeConfig(samples=True)

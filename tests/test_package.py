@@ -1,6 +1,10 @@
 """Package surface and concurrency guarantees."""
 
 import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -11,6 +15,21 @@ from fracvoigt import Grid, MLParams, Signal, VoigtParams, linear_strain, ml_eva
 def test_all_exports_resolve():
     for name in fracvoigt.__all__:
         assert getattr(fracvoigt, name) is not None
+
+
+def test_import_does_not_load_scipy():
+    # the runtime needs only numpy; a fresh interpreter shows what the
+    # import itself pulls in
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, fracvoigt; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_concurrent_ml_eval_consistent():

@@ -14,6 +14,7 @@ from fracvoigt.special import (
     Z_MAX_NEG,
     Z_MAX_POS,
     _asymptotic_neg,
+    _branch_masks,
     _confluent_neg,
     _integral_neg,
     _series,
@@ -31,6 +32,56 @@ ORACLE_POINTS = [
     (0.3, 0.3, -7.0, 0.0039764876519630685),
     (0.5, 1.0, -25.0, 0.02254957243264136),
     (0.25, 1.0, -40.0, 0.02005291268277312),
+    # orders beta > 1 on the contour range u = |z|^(1/alpha) in {1e-4, 3, 35},
+    # plus two far orders; the contour moves with beta there instead of
+    # reducing the order
+    (0.01, 1.5, -0.9120108393559098, 0.5902564671562667),
+    (0.01, 1.5, -1.0110466919378536, 0.5611933694442539),
+    (0.01, 1.5, -1.0361930628883962, 0.5542638798747311),
+    (0.01, 2.5, -0.9120108393559098, 0.3947550059263792),
+    (0.01, 2.5, -1.0110466919378536, 0.3753826780611615),
+    (0.01, 2.5, -1.0361930628883962, 0.37076276829114924),
+    (0.01, 4.0, -0.9120108393559098, 0.08769041184636349),
+    (0.01, 4.0, -1.0110466919378536, 0.0833989613049238),
+    (0.01, 4.0, -1.0361930628883962, 0.08237535635270672),
+    (0.01, 10.0, -0.9120108393559098, 1.45674596616136e-06),
+    (0.01, 10.0, -1.0110466919378536, 1.3858102585306423e-06),
+    (0.01, 10.0, -1.0361930628883962, 1.3688851662588995e-06),
+    (0.01, 15.0, -0.9120108393559098, 6.075788347756483e-12),
+    (0.01, 15.0, -1.0110466919378536, 5.780559063226585e-12),
+    (0.01, 15.0, -1.0361930628883962, 5.710108562546664e-12),
+    (0.5, 1.5, -0.01, 1.118453895365749),
+    (0.5, 1.5, -1.7320508075688772, 0.4114537214222014),
+    (0.5, 1.5, -5.916079783099616, 0.15313220312266937),
+    (0.5, 2.5, -0.01, 0.7472827023637008),
+    (0.5, 2.5, -1.7320508075688772, 0.3383751206318554),
+    (0.5, 2.5, -5.916079783099616, 0.14116665197505066),
+    (0.5, 4.0, -0.01, 0.16581109685084403),
+    (0.5, 4.0, -1.7320508075688772, 0.08670946320876025),
+    (0.5, 4.0, -5.916079783099616, 0.03952706824934531),
+    (0.5, 10.0, -0.01, 2.746935438729714e-06),
+    (0.5, 10.0, -1.7320508075688772, 1.7668570828882366e-06),
+    (0.5, 10.0, -5.916079783099616, 9.41526189394836e-07),
+    (0.5, 15.0, -0.01, 1.1440956743022928e-11),
+    (0.5, 15.0, -1.7320508075688772, 7.892765906942458e-12),
+    (0.5, 15.0, -5.916079783099616, 4.487166074797849e-12),
+    (0.999, 1.5, -0.00010092528860766844, 1.128303195453683),
+    (0.999, 1.5, -2.9967059728946346, 0.23759233391006793),
+    (0.999, 1.5, -34.87578376466986, 0.016451522056806365),
+    (0.999, 2.5, -0.00010092528860766844, 0.7522223768955885),
+    (0.999, 2.5, -2.9967059728946346, 0.2971488994031036),
+    (0.999, 2.5, -34.87578376466986, 0.03188040835982491),
+    (0.999, 4.0, -0.00010092528860766844, 0.16666245519361678),
+    (0.999, 4.0, -2.9967059728946346, 0.09073924160656877),
+    (0.999, 4.0, -34.87578376466986, 0.013525524726716052),
+    (0.999, 10.0, -0.00010092528860766844, 2.755704044867753e-06),
+    (0.999, 10.0, -2.9967059728946346, 2.108192577760046e-06),
+    (0.999, 10.0, -34.87578376466986, 5.748312764986078e-07),
+    (0.999, 15.0, -0.00010092528860766844, 1.1470668207161655e-11),
+    (0.999, 15.0, -2.9967059728946346, 9.539128168122266e-12),
+    (0.999, 15.0, -34.87578376466986, 3.328457780679206e-12),
+    (0.5, 60.0, -1.7320508075688772, 5.890059417391121e-81),
+    (0.5, 1000000.0, -1.7320508075688772, 0.0),
 ]
 
 
@@ -147,6 +198,56 @@ class TestInvariants:
             rhs_tail = ml_eval(MLParams(alpha, alpha + beta), z)
         rhs = z * rhs_tail + 1.0 / math.gamma(beta)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
+
+
+# (alpha, beta, z values); the z values cross every branch: for alpha < 1
+# the negative axis on both sides of |z|^(1/alpha) = 36 (contour rule and
+# asymptotic expansion), z = 0, z > 0, and the confluent (alpha = 1) and
+# series-only (alpha > 1) cases
+_BRANCH_CROSSING = [
+    (0.5, 0.5, [-100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
+    (0.3, 1.3, [-50.0, -3.0, -2.9, -0.5, 0.0, 0.7]),
+    (1.0, 1.0, [-100.0, -3.0, 0.0, 2.5]),
+    (1.0, 0.4, [-100.0, -3.0, 0.0, 2.5]),
+    (1.6, 0.8, [-5.0, -1.0, 0.0, 0.5, 2.0]),
+]
+
+
+class TestArrayEvaluation:
+    def test_cases_cross_every_branch(self):
+        hit = np.zeros(5, dtype=bool)
+        for alpha, _, zs in _BRANCH_CROSSING:
+            masks = _branch_masks(alpha, np.array(zs))
+            assert np.array_equal(np.sum(masks, axis=0), np.ones(len(zs)))
+            hit |= [m.any() for m in masks]
+        assert hit.all()
+
+    @pytest.mark.parametrize("alpha,beta,zs", _BRANCH_CROSSING)
+    def test_array_equals_scalar_loop_bit_for_bit(self, alpha, beta, zs):
+        p = MLParams(alpha, beta)
+        got = ml_eval(p, np.array(zs))
+        assert isinstance(got, np.ndarray) and got.shape == (len(zs),)
+        scalars = [ml_eval(p, z) for z in zs]
+        assert all(type(v) is float for v in scalars)
+        assert got.tolist() == scalars
+
+    def test_shape_preserved(self):
+        p = MLParams(0.6, 0.9)
+        zs = np.linspace(-60.0, 2.0, 12).reshape(3, 4)
+        got = ml_eval(p, zs)
+        assert got.shape == (3, 4)
+        assert got.ravel().tolist() == [ml_eval(p, z) for z in zs.ravel()]
+        assert ml_eval(p, np.empty(0)).shape == (0,)
+        assert type(ml_eval(p, np.float64(-1.0))) is float
+
+    def test_array_domain_checks(self):
+        p = MLParams(0.5, 1.0)
+        with pytest.raises(AccuracyError):
+            ml_eval(p, np.array([-1.0, -Z_MAX_NEG - 1.0]))
+        with pytest.raises(AccuracyError):
+            ml_eval(p, np.array([Z_MAX_POS + 1.0, 0.0]))
+        with pytest.raises(DomainError):
+            ml_eval(p, np.array([-1.0, float("nan")]))
 
 
 class TestBranchConsistency:

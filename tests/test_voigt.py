@@ -101,6 +101,26 @@ class TestCreepFunction:
         with pytest.raises(DomainError):
             creep_function_alt(p, -0.1)
 
+    def test_array_times_match_scalar_calls(self):
+        # t/tau reaches 80, so the table crosses from the contour rule to the
+        # asymptotic expansion at t/tau = 36
+        p = VoigtParams(1.0, 2.0, 0.5)
+        t = np.linspace(0.0, 40.0, 201)
+        got = creep_function(p, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        expected = [creep_function(p, float(x)) for x in t]
+        assert all(isinstance(v, float) for v in expected)
+        # the array path raises t/tau to the power alpha with numpy, the
+        # scalar path with Python floats; the two may differ in the last bit
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_array_times_validated(self):
+        p = VoigtParams(1.0, 2.0, 0.5)
+        with pytest.raises(DomainError):
+            creep_function(p, np.array([0.0, 1.0, -0.5]))
+        with pytest.raises(DomainError):
+            creep_function(p, np.array([0.0, float("nan")]))
+
     @pytest.mark.parametrize("eta,e_mod", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)])
     def test_classical_reduction(self, eta, e_mod):
         # k_1(t) = (1/E)(1 - exp(-t/tau))
@@ -210,3 +230,7 @@ class TestPicardLinear:
             SolverConfig(tol=0.0)
         with pytest.raises(DomainError):
             SolverConfig(tol=1e-8, max_iter=0)
+
+    def test_config_rejects_bool_max_iter(self):
+        with pytest.raises(DomainError):
+            SolverConfig(tol=1e-8, max_iter=True)
