@@ -15,11 +15,12 @@ error.  Set FRACVOIGT_LOG=debug|info|warning for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def _stress_signal(args: argparse.Namespace, grid: Grid | None) -> Signal:
     assert grid is not None
     if args.stress_expr is not None:
         tree = expr.parse(args.stress_expr, "t")
-        return Signal(grid, np.array([expr.evaluate(tree, float(t)) for t in grid.points]))
+        return Signal(grid, expr.evaluate(tree, grid.points))
     if args.stress_builtin == "zero":
         return Signal.zeros(grid)
     if args.stress_builtin == "unit-step":
@@ -205,10 +206,14 @@ def _stress_signal(args: argparse.Namespace, grid: Grid | None) -> Signal:
     return Signal(grid, grid.points.copy())  # ramp
 
 
-def _open_output(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
+    """The -o file, opened for writing and closed on exit, or stdout."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _write_csv(out: IO[str], grid: Grid, values: np.ndarray, trailer: list[str]) -> None:
@@ -233,12 +238,8 @@ def _cmd_ml(args: argparse.Namespace) -> int:
     _require(0.0 < args.alpha <= 2.0, "--alpha must lie in (0, 2] for ml")
     _require(args.beta > 0.0, "--beta must be positive")
     value = ml_eval(MLParams(args.alpha, args.beta), args.z)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(f"{value!r}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -246,12 +247,8 @@ def _cmd_creep(args: argparse.Namespace) -> int:
     params = _model_params(args)
     grid = _grid(args)
     values = creep_function(params, grid.points)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_csv(out, grid, values, [])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -261,12 +258,8 @@ def _cmd_strain(args: argparse.Namespace) -> int:
     stress = _stress_signal(args, grid)
     _warn_nonzero_initial_stress(stress)
     strain = linear_strain(params, stress)
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_csv(out, strain.grid, strain.values, [])
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -282,12 +275,8 @@ def _cmd_picard(args: argparse.Namespace) -> int:
         f"final_diff={result.final_diff!r}",
         f"converged={'true' if result.converged else 'false'}",
     ]
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_csv(out, result.solution.grid, result.solution.values, trailer)
-    finally:
-        if close:
-            out.close()
     if not result.converged:
         print(
             f"warning: picard did not converge in {result.iterations} iterations "
@@ -314,12 +303,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "note: fixed-point convergence is empirical; existence of a solution "
         "is not certified by this computation",
     ]
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         _write_csv(out, result.solution.grid, result.solution.values, trailer)
-    finally:
-        if close:
-            out.close()
     if not result.converged:
         print(
             f"warning: fixed-point iteration did not converge in "
@@ -342,12 +327,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"verdict: {'consistent with the existence hypotheses' if report.verdict else 'hypotheses not satisfied'}",
         "note: threshold-based numerical probe, not a proof",
     ]
-    out, close = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         out.write("\n".join(lines) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 

@@ -10,17 +10,19 @@ Recursive descent over a small fixed grammar with one free variable:
 
 '^' binds tighter than unary minus (-2^2 evaluates to -4) and associates to
 the right (2^3^2 is 512).  There is no implicit multiplication: "2t" is a
-syntax error.  Evaluation never returns NaN or infinity silently; any
-undefined or non-finite intermediate raises EvaluationError naming the
-offending subexpression.
+syntax error.  evaluate binds the variable to a float or to a whole array
+(numpy ufuncs, one pass over the tree).  Evaluation never returns NaN or
+infinity silently; any undefined or non-finite intermediate raises
+EvaluationError naming the offending subexpression.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import EvaluationError
 
@@ -199,25 +201,41 @@ def parse(src: str, var_name: str) -> Expr:
     return node
 
 
-def _check_finite(value: float, node: Expr) -> float:
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"non-finite value in {to_source(node)!r}"
-        )
+def _check_finite(value, node: Expr):
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"non-finite value in {to_source(node)!r}")
     return value
 
 
-def evaluate(e: Expr, x: float) -> float:
-    """Evaluate with the free variable bound to x."""
+def evaluate(e: Expr, x):
+    """Evaluate with the free variable bound to x.  A float gives a float;
+    an array gives an array of its shape, computed by one pass over the
+    tree with numpy ufuncs.  An array with an undefined or non-finite point
+    raises the error of the scalar call at its first such point."""
+    try:
+        with np.errstate(all="ignore"):
+            value = _eval(e, np.asarray(x, dtype=float))
+    except EvaluationError:
+        if np.ndim(x) == 0:
+            raise
+        for v in np.ravel(x):
+            evaluate(e, float(v))
+        raise
+    if np.ndim(x) == 0:
+        return float(value)
+    return np.full(np.shape(x), value)
+
+
+def _eval(e: Expr, x: np.ndarray):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        return _check_finite(float(x), e)
+        return _check_finite(x, e)
     if isinstance(e, Neg):
-        return -evaluate(e.operand, x)
+        return -_eval(e.operand, x)
     if isinstance(e, BinOp):
-        left = evaluate(e.left, x)
-        right = evaluate(e.right, x)
+        left = _eval(e.left, x)
+        right = _eval(e.right, x)
         if e.op == "+":
             return _check_finite(left + right, e)
         if e.op == "-":
@@ -225,36 +243,40 @@ def evaluate(e: Expr, x: float) -> float:
         if e.op == "*":
             return _check_finite(left * right, e)
         if e.op == "/":
-            if right == 0.0:
+            if np.equal(right, 0.0).any():
                 raise EvaluationError(f"division by zero in {to_source(e)!r}")
             return _check_finite(left / right, e)
         return _pow(left, right, e)
     if isinstance(e, Call):
-        args = [evaluate(a, x) for a in e.args]
+        args = [_eval(a, x) for a in e.args]
         if e.func == "pow":
             return _pow(args[0], args[1], e)
         if e.func == "log":
-            if args[0] <= 0.0:
+            if np.less_equal(args[0], 0.0).any():
                 raise EvaluationError(f"log of nonpositive value in {to_source(e)!r}")
-            return _check_finite(math.log(args[0]), e)
+            return _check_finite(np.log(args[0]), e)
         if e.func == "sqrt":
-            if args[0] < 0.0:
+            if np.less(args[0], 0.0).any():
                 raise EvaluationError(f"sqrt of negative value in {to_source(e)!r}")
-            return math.sqrt(args[0])
-        fn = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "abs": abs}[e.func]
-        try:
-            return _check_finite(fn(args[0]), e)
-        except OverflowError:
-            raise EvaluationError(f"overflow in {to_source(e)!r}") from None
+            return np.sqrt(args[0])
+        fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}[e.func]
+        value = fn(args[0])
+        if not np.isfinite(value).all():  # only exp can overflow
+            raise EvaluationError(f"overflow in {to_source(e)!r}")
+        return value
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _pow(base: float, exponent: float, node: Expr) -> float:
-    try:
-        value = math.pow(base, exponent)
-    except (ValueError, OverflowError) as exc:
-        raise EvaluationError(f"invalid power in {to_source(node)!r}: {exc}") from None
-    return _check_finite(value, node)
+def _pow(base, exponent, node: Expr):
+    value = np.power(base, exponent)
+    finite = np.isfinite(value)
+    if not finite.all():
+        # math.pow's two errors: a negative base to a non-integer power and
+        # zero to a negative power are outside its domain, the rest overflows
+        domain = np.any(np.isnan(value) | ((base == 0.0) & ~finite))
+        reason = "math domain error" if domain else "math range error"
+        raise EvaluationError(f"invalid power in {to_source(node)!r}: {reason}")
+    return value
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

@@ -12,10 +12,31 @@ product-trapezoidal weights
     w_0 = 1,   w_m = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)  (m >= 1),
 
 which is exact for piecewise-linear data and converges at rate O(h^(1+a))
-for smooth integrands.  The Mittag-Leffler kernel convolution reuses the
-same weights with the kernel folded into the nodal values; the kernel is
-translation invariant on a uniform grid, so one array evaluation of n+1
-kernel samples serves each (grid, parameters) pair, and it is memoized.
+for smooth integrands.  The Mittag-Leffler kernel convolution is a sum of
+such operators over the same data: the peeled leading powers of the kernel
+series, each with its own order, and the remainder folded into the
+interpolated factor.  All are linear in f, so their weights are folded once
+per (alpha, tau, h, n) into one boundary vector B and one convolution
+vector W of the same form.
+
+Folded weights are memoized per (alpha, tau, h, n), and the rl_integral
+weights per (alpha, n), as B together with the spectrum rfft(W, 2n); the
+kernel is translation invariant on a uniform grid, so one array evaluation
+of n+1 kernel samples builds them.  An apply is then one rfft of the data,
+one product and one irfft: O(n log n).  Two rules keep the FFT's rounding
+(about 1e-16 of the largest output) from showing where the direct sum has
+none:
+
+* causality: the data enter from their first nonzero sample on, so the
+  output before it is exactly 0;
+* sign: when every weight in B and W is strictly positive, the output of
+  nonnegative data is clipped to >= 0.  The rl_integral weights always are
+  (0 < a <= 1).  The folded kernel weights are on most grids, but not on
+  all: the peeled series can make W_0 negative on grids coarser than about
+  the retardation time ((h/tau)^a near 1 or above), and the tail of B
+  negative for some orders near a = 0.45 once (t_end/tau)^a exceeds about
+  4.  There the scheme itself gives negative values for nonnegative data,
+  and they are kept, not clipped.
 """
 
 from __future__ import annotations
@@ -91,7 +112,6 @@ class Signal:
         return float(np.max(np.abs(self.values)))
 
 
-@lru_cache(maxsize=128)
 def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoidal boundary weights b_j (j = 1..n) and convolution
     weights w_m (m = 0..n-1).  Valid for any order alpha > 0."""
@@ -101,21 +121,43 @@ def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     m = np.arange(0, n, dtype=float)
     w = (m + 1.0) ** a1 - 2.0 * m**a1 + np.abs(m - 1.0) ** a1
     w[0] = 1.0
-    b.setflags(write=False)
-    w.setflags(write=False)
     return b, w
 
 
+def _spectrum(b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The boundary weights b, read-only, the length-2n spectrum of the
+    convolution weights w, and whether all of b and w are strictly positive
+    (the sign rule)."""
+    spec = np.fft.rfft(w, 2 * len(w))
+    b.setflags(write=False)
+    spec.setflags(write=False)
+    return b, spec, bool(np.all(b > 0.0) and np.all(w > 0.0))
+
+
 def _pt_apply(
-    alpha: float, h: float, values: np.ndarray, b: np.ndarray, w: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray, bool], values: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the product-trapezoidal sums for all grid points at once."""
-    n = len(values) - 1
+    """The sums b_j f_0 + sum_{k=1}^{j} w_{j-k} f_k for j = 1..n (0 at
+    j = 0) by one FFT convolution of length 2n, under the causality and
+    sign rules of the module docstring."""
+    b, spec, positive = weights
+    n = len(b)
     out = np.zeros(n + 1)
-    if n >= 1:
-        inner = np.convolve(values[1:], w)[:n]
-        out[1:] = (h**alpha / math.gamma(alpha + 2.0)) * (b * values[0] + inner)
+    nonzero = np.flatnonzero(values)
+    if nonzero.size == 0:
+        return out
+    first = max(int(nonzero[0]), 1)
+    tail = np.fft.irfft(np.fft.rfft(values[first:], 2 * n) * spec, 2 * n)
+    out[first:] = tail[: n + 1 - first]
+    out[1:] += b * values[0]
+    if positive and values.min() >= 0.0:
+        np.maximum(out, 0.0, out=out)
     return out
+
+
+@lru_cache(maxsize=32)
+def _rl_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    return _spectrum(*_pt_weights(alpha, n))
 
 
 def rl_integral(alpha: float, f: Signal) -> Signal:
@@ -124,16 +166,13 @@ def rl_integral(alpha: float, f: Signal) -> Signal:
     at t = 0 by definition."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"rl_integral requires 0 < alpha <= 1, got {alpha!r}")
-    b, w = _pt_weights(alpha, f.grid.n)
-    return Signal(f.grid, _pt_apply(alpha, f.grid.h, f.values, b, w))
+    scale = f.grid.h**alpha / math.gamma(alpha + 2.0)
+    return Signal(f.grid, scale * _pt_apply(_rl_weights(alpha, f.grid.n), f.values))
 
 
-@lru_cache(maxsize=64)
 def _kernel_profile(alpha: float, tau: float, h: float, n: int) -> np.ndarray:
     """Kernel samples E[a,a](-((m*h)/tau)^a) for offsets m = 0..n."""
-    prof = ml_eval(MLParams(alpha, alpha), -(((np.arange(n + 1) * h) / tau) ** alpha))
-    prof.setflags(write=False)
-    return prof
+    return ml_eval(MLParams(alpha, alpha), -(((np.arange(n + 1) * h) / tau) ** alpha))
 
 
 def _peel_count(alpha: float, v_max: float) -> int:
@@ -152,6 +191,38 @@ def _peel_count(alpha: float, v_max: float) -> int:
     return math.ceil(1.0 / alpha - 1e-12)
 
 
+def _folded_weights(
+    alpha: float, tau: float, h: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary weights B and convolution weights W of the kernel
+    convolution on one (alpha, tau, h, n): each peeled power term and the
+    remainder is a product-trapezoidal sum over the same data, so their
+    weights add up to one pair."""
+    v = ((np.arange(n + 1) * h) / tau) ** alpha  # ((m h)/tau)^a per offset
+    resid = _kernel_profile(alpha, tau, h, n)
+    big_b = np.zeros(n)
+    big_w = np.zeros(n)
+    for j in range(_peel_count(alpha, float(v[-1]))):
+        order = alpha * (j + 1)
+        b, w = _pt_weights(order, n)
+        scale = (-1.0 / tau**alpha) ** j * h**order / math.gamma(order + 2.0)
+        big_b += scale * b
+        big_w += scale * w
+        resid -= (-v) ** j / math.gamma(order)
+    b, w = _pt_weights(alpha, n)
+    scale = math.gamma(alpha) * h**alpha / math.gamma(alpha + 2.0)
+    big_b += scale * b * resid[1:]
+    big_w += scale * w * resid[:n]
+    return big_b, big_w
+
+
+@lru_cache(maxsize=32)
+def _kernel_weights(
+    alpha: float, tau: float, h: float, n: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    return _spectrum(*_folded_weights(alpha, tau, h, n))
+
+
 def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
     """Weakly singular Mittag-Leffler convolution of a sampled function,
 
@@ -162,27 +233,6 @@ def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
     interpolant of f; the smooth series remainder is folded into the
     interpolated factor as in rl_integral.  Value at t = 0 is 0; the
     empirical convergence rate is O(h^(1+a))."""
-    alpha = params.alpha
-    tau = params.tau
     grid = f.grid
-    n = grid.n
-    h = grid.h
-    prof = _kernel_profile(alpha, tau, h, n)
-
-    v = ((np.arange(n + 1) * h) / tau) ** alpha  # ((m h)/tau)^a per offset
-    n_peel = _peel_count(alpha, float(v[-1]))
-
-    out = np.zeros(n + 1)
-    resid_prof = np.array(prof)
-    for j in range(n_peel):
-        c_j = (-1.0 / tau**alpha) ** j
-        order = alpha * (j + 1)
-        b, w = _pt_weights(order, n)
-        out += c_j * _pt_apply(order, h, f.values, b, w)
-        resid_prof -= (-v) ** j / math.gamma(order)
-
-    b, w = _pt_weights(alpha, n)
-    out += math.gamma(alpha) * _pt_apply(
-        alpha, h, f.values, b * resid_prof[1:], w * resid_prof[:n]
-    )
-    return Signal(grid, out / params.eta**alpha)
+    weights = _kernel_weights(params.alpha, params.tau, grid.h, grid.n)
+    return Signal(grid, _pt_apply(weights, f.values) / params.eta**params.alpha)

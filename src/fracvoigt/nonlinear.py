@@ -43,15 +43,23 @@ __all__ = [
 # estimates so callers can apply their own judgement.
 E0_THRESH = 1e6
 EINF_THRESH = 1e-6
+# midpoints per law call in check_hypotheses: the default 200 samples take
+# one call, and memory stays bounded for any sample count
+_PAIRS_PER_CALL = 1 << 20
 
 
 @dataclass(frozen=True)
 class ConstitutiveLaw:
-    """A stress-strain law sigma(eps), total and finite on [0, bound]."""
+    """A stress-strain law sigma(eps), total and finite on [0, bound].
+
+    on_arrays marks an fn that also maps a whole array of strains
+    elementwise (expression and table laws); other callables are applied
+    one point at a time."""
 
     kind: str
     fn: Callable[[float], float]
     bound: float = math.inf
+    on_arrays: bool = False
 
     def __call__(self, eps: float) -> float:
         try:
@@ -67,6 +75,14 @@ class ConstitutiveLaw:
         return value
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
+        """sigma at every strain in values: one call when fn takes arrays."""
+        if self.on_arrays:
+            try:
+                out = np.asarray(self.fn(values), dtype=float)
+                if np.isfinite(out).all():
+                    return out
+            except (ArithmeticError, ValueError):
+                pass  # the loop below raises, naming the first bad eps
         return np.array([self(float(v)) for v in values])
 
     @classmethod
@@ -74,7 +90,9 @@ class ConstitutiveLaw:
         from . import expr
 
         tree = expr.parse(src, "eps")
-        return cls(kind=f"expression:{src}", fn=lambda e: expr.evaluate(tree, e))
+        return cls(
+            kind=f"expression:{src}", fn=lambda e: expr.evaluate(tree, e), on_arrays=True
+        )
 
     @classmethod
     def from_table(
@@ -92,8 +110,9 @@ class ConstitutiveLaw:
             raise DomainError("law table strains must be strictly increasing")
         return cls(
             kind="table",
-            fn=lambda e: float(np.interp(e, s, v)),
+            fn=lambda e: np.interp(e, s, v),
             bound=float(s[-1]),
+            on_arrays=True,
         )
 
     @classmethod
@@ -105,8 +124,9 @@ def apply_T(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> Signal:
     """One application of the fixed-point operator: the linear strain
     response to the stress history sigma(eps(t)).
 
-    For eps >= 0 and sigma >= 0 the result is nonnegative at every grid
-    point (the kernel is nonnegative by complete monotonicity)."""
+    For sigma >= 0 the result is nonnegative at every grid point (the
+    kernel is nonnegative by complete monotonicity) wherever the discrete
+    weights are positive too; fracops names the grids where they are not."""
     return ml_kernel_convolve(params, Signal(eps.grid, law.map_values(eps.values)))
 
 
@@ -204,15 +224,17 @@ def check_hypotheses(
 
     is_decreasing = bool(np.all(np.diff(vals) <= probe.tol))
 
+    # midpoint convexity over all pairs i < j, a block of rows per call
+    m = len(pts)
+    rows = max(1, _PAIRS_PER_CALL // m)
     is_convex = True
-    for i in range(len(pts)):
-        if not is_convex:
+    for lo in range(0, m - 1, rows):
+        i, j = np.nonzero(np.arange(lo, min(lo + rows, m))[:, None] < np.arange(m))
+        i += lo
+        mids = law.map_values(0.5 * (pts[i] + pts[j]))
+        if np.any(mids > 0.5 * (vals[i] + vals[j]) + probe.tol):
+            is_convex = False
             break
-        for j in range(i + 1, len(pts)):
-            mid = 0.5 * (pts[i] + pts[j])
-            if law(mid) > 0.5 * (vals[i] + vals[j]) + probe.tol:
-                is_convex = False
-                break
 
     sigma_at_zero = law(0.0)
     e0 = law(probe.eps_small) / probe.eps_small

@@ -115,6 +115,13 @@ class TestStrain:
             "--stress-expr", "2x",
         ]) == 2
 
+    def test_undefined_stress_expr_exits_2(self, capsys):
+        assert run([
+            "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
+            "--n", "16", "--stress-expr", "log(t)",
+        ]) == 2
+        assert "error: log of nonpositive value in 'log(t)'" in capsys.readouterr().err
+
     def test_missing_stress_source_exits_2(self, capsys):
         assert run([
             "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
@@ -310,6 +317,32 @@ class TestDeterminism:
             check=True,
         )
         assert a.read_bytes() == b.read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["strain", "--alpha", "0.6", "--eta", "1", "--e-mod", "2", "--n", "300",
+             "--stress-expr", "sin(3*t)^2"],
+            ["picard", "--alpha", "0.6", "--eta", "1", "--e-mod", "2", "--n", "300",
+             "--stress-builtin", "ramp"],
+            ["solve", "--alpha", "0.5", "--eta", "1", "--e-mod", "2", "--n", "300",
+             "--sigma-expr", "1/(1+eps)"],
+        ],
+    )
+    def test_fft_bodies_identical_in_fresh_process(self, tmp_path, args):
+        # the second in-process run reuses the cached weight spectrum; the
+        # fresh interpreter builds it again
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert run(args + ["-o", str(a)]) == 0
+        assert run(args + ["-o", str(b)]) == 0
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-m", "fracvoigt", *args, "-o", str(c)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 class TestLogging:

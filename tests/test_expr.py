@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,3 +149,64 @@ class TestRoundTrip:
             assert evaluate(parse(printed, var), x) == pytest.approx(
                 evaluate(tree, x), rel=1e-15, abs=1e-15
             )
+
+
+class TestArrayEvaluation:
+    def test_random_trees_match_scalar_calls(self):
+        rng = random.Random(20261018)
+        points = np.linspace(0.1, 2.0, 40)
+        for _ in range(200):
+            tree = random_expression(rng)
+            scalar = []
+            for x in points:
+                try:
+                    scalar.append(evaluate(tree, float(x)))
+                except EvaluationError as exc:
+                    scalar.append(exc)
+            errors = [v for v in scalar if isinstance(v, EvaluationError)]
+            if errors:
+                with pytest.raises(EvaluationError) as exc:
+                    evaluate(tree, points)
+                assert str(exc.value) == str(errors[0])
+                continue
+            got = evaluate(tree, points)
+            assert got.shape == points.shape
+            np.testing.assert_allclose(got, scalar, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "src,bad",
+        [
+            ("log(t)", 0.0),
+            ("(-1)^0.5+t", 1.0),
+            ("t^0.5", -2.0),
+            ("pow(t,-1)", 0.0),
+            ("t^1000", 10.0),
+            ("1/(t-1)", 1.0),
+            ("sqrt(t)", -4.0),
+            ("exp(t)", 1e9),
+            ("t*1e308", 10.0),
+        ],
+    )
+    def test_one_bad_point_raises_the_scalar_message(self, src, bad):
+        tree = parse(src, "t")
+        with pytest.raises(EvaluationError) as scalar:
+            evaluate(tree, bad)
+        with pytest.raises(EvaluationError) as array:
+            evaluate(tree, np.array([1.5, bad, 2.0]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_first_bad_point_decides_the_message(self):
+        # point 0 fails in sqrt, point 2 in log; the scalar loop meets
+        # point 0 first, and so does the array call
+        tree = parse("log(0.5-t)+sqrt(t-0.2)", "t")
+        with pytest.raises(EvaluationError, match="sqrt of negative"):
+            evaluate(tree, np.array([0.0, 0.3, 0.9]))
+
+    def test_float_in_float_out(self):
+        assert type(evaluate(parse("t^2", "t"), 3.0)) is float
+        assert type(evaluate(parse("2", "t"), 3.0)) is float
+
+    def test_array_shape_kept(self):
+        x = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        np.testing.assert_array_equal(evaluate(parse("t+1", "t"), x), x + 1.0)
+        np.testing.assert_array_equal(evaluate(parse("2", "t"), x), np.full((2, 3), 2.0))

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from fracvoigt.errors import DomainError
-from fracvoigt.fracops import Grid, Signal, _kernel_profile, ml_kernel_convolve, rl_integral
+from fracvoigt.fracops import (
+    Grid,
+    Signal,
+    _folded_weights,
+    _kernel_profile,
+    _kernel_weights,
+    _peel_count,
+    _pt_weights,
+    ml_kernel_convolve,
+    rl_integral,
+)
 from fracvoigt.special import MLParams, ml_eval
 from fracvoigt.voigt import VoigtParams, creep_function
 
@@ -183,3 +193,118 @@ class TestMlKernelConvolve:
             errs.append(float(np.max(np.abs(out.values - exact))))
         assert errs[0] / errs[1] >= 1.8
         assert errs[1] < 0.05 * (p.tau / p.eta) ** p.alpha  # relative to scale
+
+
+def direct_sum(b, w, f):
+    """b_j f_0 + sum_{k=1}^{j} w_{j-k} f_k for j = 1..n by direct
+    convolution, 0 at j = 0."""
+    n = len(b)
+    out = np.zeros(n + 1)
+    out[1:] = b * f[0] + np.convolve(f[1:], w)[:n]
+    return out
+
+
+def per_term_kernel_convolve(params, f):
+    """The kernel convolution with every peeled power term and the
+    remainder applied on its own, each by direct convolution."""
+    alpha, tau = params.alpha, params.tau
+    n, h = f.grid.n, f.grid.h
+    v = ((np.arange(n + 1) * h) / tau) ** alpha
+    resid = _kernel_profile(alpha, tau, h, n)
+    out = np.zeros(n + 1)
+    for j in range(_peel_count(alpha, float(v[-1]))):
+        order = alpha * (j + 1)
+        b, w = _pt_weights(order, n)
+        scale = h**order / math.gamma(order + 2.0)
+        out += (-1.0 / tau**alpha) ** j * scale * direct_sum(b, w, f.values)
+        resid -= (-v) ** j / math.gamma(order)
+    b, w = _pt_weights(alpha, n)
+    scale = math.gamma(alpha) * h**alpha / math.gamma(alpha + 2.0)
+    out += scale * direct_sum(b * resid[1:], w * resid[:n], f.values)
+    return out / params.eta**alpha
+
+
+def sample_data(kind, n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 1.0, n + 1)
+    return {
+        "signed": rng.standard_normal(n + 1),
+        "nonnegative": rng.random(n + 1),
+        "late-start": np.where(t >= 0.5, 1.0 + t, 0.0),
+        "tiny-then-large": np.exp(-200.0 * (1.0 - t)),
+    }[kind]
+
+
+# (alpha, t_end/tau): ten peeled terms, two, one, and none ((t_end/tau)^a > 12)
+KERNEL_CASES = [(0.1, 2.0), (0.5, 2.0), (1.0, 5.0), (0.5, 400.0)]
+DATA_KINDS = ["signed", "nonnegative", "late-start", "tiny-then-large"]
+
+
+class TestFftApply:
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 4097])
+    @pytest.mark.parametrize("alpha,ratio", KERNEL_CASES)
+    @pytest.mark.parametrize("kind", DATA_KINDS)
+    def test_kernel_matches_direct_convolution(self, n, alpha, ratio, kind):
+        p = VoigtParams(eta=1.5, e_mod=3.0, alpha=alpha)
+        f = Signal(Grid(ratio * p.tau, n), sample_data(kind, n))
+        big_b, big_w = _folded_weights(alpha, p.tau, f.grid.h, n)
+        ref = direct_sum(big_b, big_w, f.values) / p.eta**alpha
+        got = ml_kernel_convolve(p, f).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 4097])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", DATA_KINDS)
+    def test_rl_integral_matches_direct_convolution(self, n, alpha, kind):
+        f = Signal(Grid(2.0, n), sample_data(kind, n))
+        b, w = _pt_weights(alpha, n)
+        ref = f.grid.h**alpha / math.gamma(alpha + 2.0) * direct_sum(b, w, f.values)
+        got = rl_integral(alpha, f).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [3, 16, 256])
+    @pytest.mark.parametrize("alpha,ratio", KERNEL_CASES)
+    def test_folded_weights_match_per_term_scheme(self, n, alpha, ratio):
+        # folding sums the peeled terms' weights before the convolution
+        # instead of their results after it: same scheme, other rounding
+        p = VoigtParams(eta=1.5, e_mod=3.0, alpha=alpha)
+        for kind in DATA_KINDS:
+            f = Signal(Grid(ratio * p.tau, n), sample_data(kind, n))
+            ref = per_term_kernel_convolve(p, f)
+            got = ml_kernel_convolve(p, f).values
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_output_before_first_load_is_exactly_zero(self):
+        p = VoigtParams(1.0, 2.0, 0.5)
+        g = Grid(1.0, 4096)
+        stress = Signal(g, np.where(g.points >= 0.5, 1.0, 0.0))
+        out = ml_kernel_convolve(p, stress).values
+        first = int(np.flatnonzero(stress.values)[0])
+        assert np.all(out[:first] == 0.0)
+        assert np.all(out[first:] >= 0.0)
+        assert np.all(rl_integral(0.5, stress).values[:first] == 0.0)
+
+    def test_tiny_then_large_stays_nonnegative(self):
+        p = VoigtParams(1.0, 2.0, 0.5)
+        g = Grid(1.0, 4096)
+        out = ml_kernel_convolve(p, Signal(g, np.exp(-200.0 * (1.0 - g.points))))
+        assert np.all(out.values >= 0.0)
+
+    def test_negative_weights_are_not_clipped(self):
+        # one step of length 5 tau: the peeled series makes W_0 negative,
+        # so the scheme itself is negative here and the sign rule is off
+        p = VoigtParams(eta=1.0, e_mod=5.0, alpha=0.5)
+        f = Signal(Grid(1.0, 1), [0.0, 1.0])
+        big_b, big_w = _folded_weights(p.alpha, p.tau, 1.0, 1)
+        assert not _kernel_weights(p.alpha, p.tau, 1.0, 1)[2]
+        out = ml_kernel_convolve(p, f).values
+        assert out[1] < 0.0
+        assert out[1] == pytest.approx(big_w[0] / p.eta**p.alpha, rel=1e-15)
+
+    def test_spectrum_cached_per_kernel(self):
+        p = VoigtParams(1.0, 2.0, 0.5)
+        g = Grid(1.0, 64)
+        first = _kernel_weights(p.alpha, p.tau, g.h, g.n)
+        ml_kernel_convolve(p, unit_signal(64))
+        assert _kernel_weights(p.alpha, p.tau, g.h, g.n) is first
+        assert not first[1].flags.writeable

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracvoigt.errors import DomainError, EvaluationError
+from fracvoigt import nonlinear
 from fracvoigt.fracops import Grid, Signal
 from fracvoigt.nonlinear import (
     ConstitutiveLaw,
@@ -221,3 +222,84 @@ class TestCheckHypotheses:
     def test_probe_rejects_bool_samples(self):
         with pytest.raises(DomainError):
             ProbeConfig(samples=True)
+
+
+def loop_is_convex(law, probe):
+    """Midpoint convexity by the pairwise loop: the reference for the
+    array evaluation in check_hypotheses."""
+    pts = np.geomspace(probe.eps_small, probe.upper, probe.samples)
+    vals = [law(float(e)) for e in pts]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if law(0.5 * (pts[i] + pts[j])) > 0.5 * (vals[i] + vals[j]) + probe.tol:
+                return False
+    return True
+
+
+class TestArrayLaws:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            ConstitutiveLaw.from_expression("2*exp(-eps)+1/(1+eps)^2"),
+            ConstitutiveLaw.from_table([0.0, 0.5, 2.0], [1.0, 0.4, 0.1]),
+        ],
+    )
+    def test_map_values_matches_point_calls(self, law):
+        eps = np.linspace(0.0, 3.0, 301)
+        got = law.map_values(eps)
+        np.testing.assert_allclose(got, [law(float(e)) for e in eps], rtol=1e-15, atol=0.0)
+
+    def test_map_values_error_names_the_first_bad_eps(self):
+        law = ConstitutiveLaw.from_expression("log(eps)")
+        with pytest.raises(EvaluationError) as scalar:
+            law(0.0)
+        with pytest.raises(EvaluationError) as array:
+            law.map_values(np.array([1.0, 0.0, 2.0]))
+        assert str(array.value) == str(scalar.value)
+        assert "eps=0.0" in str(array.value)
+
+    def test_callable_law_mapped_point_by_point(self):
+        seen = []
+        law = ConstitutiveLaw.from_callable(lambda e: seen.append(e) or 1.0, "counting")
+        law.map_values(np.array([0.0, 1.0, 2.0]))
+        assert seen == [0.0, 1.0, 2.0]
+
+
+class TestConvexityProbe:
+    LAWS = [
+        INV_LINEAR,
+        ConstitutiveLaw.from_expression("1/(1+eps)"),
+        ConstitutiveLaw.from_expression("exp(-eps)+0.01*sin(eps)"),
+        ConstitutiveLaw.from_expression("2-eps^2"),
+        ConstitutiveLaw.from_callable(lambda e: 1e4 - e**2 if e < 100 else -e, "concave"),
+    ]
+    PROBES = [
+        ProbeConfig(),
+        ProbeConfig(eps_small=1e-4, upper=10.0, samples=50),
+        ProbeConfig(eps_small=0.5, upper=20.0, samples=7),
+    ]
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_matches_pairwise_loop(self, law, probe):
+        assert check_hypotheses(law, probe).is_convex == loop_is_convex(law, probe)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_blocks_of_rows_match_one_call(self, law, monkeypatch):
+        probe = ProbeConfig(eps_small=1e-3, upper=50.0, samples=23)
+        whole = check_hypotheses(law, probe)
+        monkeypatch.setattr(nonlinear, "_PAIRS_PER_CALL", 50)
+        assert check_hypotheses(law, probe) == whole
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            ConstitutiveLaw.from_expression("1/(2*eps-3)"),
+            ConstitutiveLaw.from_callable(lambda e: 1.0 / (2.0 * e - 3.0), "pole"),
+        ],
+    )
+    def test_law_undefined_at_a_midpoint_raises(self, law):
+        # samples 1, 2, 4 are fine; the midpoint 1.5 of the first pair is
+        # the pole
+        with pytest.raises(EvaluationError):
+            check_hypotheses(law, ProbeConfig(eps_small=1.0, upper=4.0, samples=3))
