@@ -20,8 +20,15 @@ selector, ``_branch_masks``, splits the arguments over four branches
   Garrappa, SIAM J. Numer. Anal. 53 (2015)).  The weights
   e^s s^(a-b) ds/dv do not depend on x, so they are built once per (a, b)
   and every x is then a short weighted sum of 1/(s^a + x).
-* The algebraic asymptotic expansion in 1/z for large negative z, truncated
-  adaptively at its smallest term.
+* For 0 < a < 1 and u >= 36, the algebraic asymptotic expansion in 1/x,
+  truncated adaptively at the smallest term of its envelope.  Its
+  coefficients are tabulated once per (a, b) from log-gamma, as the
+  envelope ratio rho_k and a signed coefficient |c_k| <= 1, and each point
+  runs the recurrence env *= rho_k / x, sum += env * c_k.  An array runs
+  the same float64 operations row by row, dropping points as they stop.
+
+The zero, contour and asymptotic branches take whole arrays; the series
+and confluent branches run per point inside an array call.
 
 Reciprocal-gamma coefficients are computed from log-gamma plus the sign
 factor so that poles of Gamma contribute exact zero terms.
@@ -30,6 +37,7 @@ factor so that poles of Gamma contribute exact zero terms.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -49,8 +57,9 @@ Z_MAX_POS = 30.0
 _ASYM_U_MIN = 36.0
 
 _SERIES_MAX_TERMS = 8000
-# the expansion needs ~x^(1/a)/a terms to reach its envelope minimum, so
-# small orders need room (a = 0.015 at the domain edge is still covered)
+# rows of an asymptotic table at most: the expansion needs up to ~40/a
+# terms at u = 36, so small orders need room (a = 0.015 at the domain edge
+# is still covered)
 _ASYM_MAX_TERMS = 2500
 
 _EPS = 2.22e-16
@@ -205,46 +214,137 @@ def _confluent_neg(beta: float, x: float) -> float:
 
 
 _LN_PI = math.log(math.pi)
+# the expansion stops once a term's envelope is below 1e-18 * max(1, |sum|)
+_ASYM_SIZE_STOP = 1e-18
+# rows kept past the last one any x in the branch needs, against rounding
+# differences between the envelope recurrence and its logarithm
+_ASYM_SPARE_ROWS = 4
 
 
-def _asymptotic_neg(alpha: float, beta: float, x: float) -> tuple[float, float]:
+@lru_cache(maxsize=64)
+def _asym_table(alpha: float, beta: float) -> tuple[tuple[array, array], ...]:
+    """Rows (rho_k, c_k), k = 1, 2, ..., of the asymptotic expansion of
+    E[a,b](-x), as (head, tail), each a pair of float arrays (rho, c): the
+    tail holds the rows with w_k = b - a*k < 0 (k > 1), where the envelope
+    may grow again.
+
+    With the envelope constant G_k = Gamma(1 - w_k)/pi for w_k <= 0.5 and
+    1/Gamma(w_k) otherwise (G_0 = 1), term k is env_k * c_k where
+    env_k = G_k / x^k = env_(k-1) * rho_k / x, rho_k = G_k / G_(k-1), and
+    c_k = (-1)^(k+1) / (Gamma(w_k) G_k), so |c_k| <= 1 (0 at the poles of
+    Gamma).  The table stops _ASYM_SPARE_ROWS past the first row by which
+    every x in [_ASYM_U_MIN^a, Z_MAX_NEG] has met a stop rule (taking
+    max(1, |sum|) as 1), or at _ASYM_MAX_TERMS rows.  Rows are stored as
+    packed doubles, 16 bytes each.
+    """
+    head = (array("d"), array("d"))
+    tail = (array("d"), array("d"))
+    # the x not yet stopped after row k are those with lo < ln x < hi
+    lo = alpha * math.log(_ASYM_U_MIN)
+    hi = math.log(Z_MAX_NEG)
+    ln_size_stop = math.log(_ASYM_SIZE_STOP)
+    ln_g_prev = 0.0
+    spare = _ASYM_SPARE_ROWS
+    for k in range(1, _ASYM_MAX_TERMS + 1):
+        w = beta - alpha * k
+        ln_g = lgamma(1.0 - w) - _LN_PI if w <= 0.5 else -lgamma(w)
+        sgn, ln_rg = _recip_gamma_log(w)
+        if k % 2 == 0:
+            sgn = -sgn
+        rows = head
+        if w < 0.0 and k > 1:
+            rows = tail
+            lo = max(lo, ln_g - ln_g_prev)  # x <= rho_k stops by growth
+        rows[0].append(math.exp(ln_g - ln_g_prev))
+        rows[1].append(sgn * math.exp(ln_rg - ln_g))
+        hi = min(hi, (ln_g - ln_size_stop) / k)  # larger x stop by size
+        ln_g_prev = ln_g
+        if lo >= hi:
+            spare -= 1
+            if spare < 0:
+                break
+    return head, tail
+
+
+def _asym_sum(head, tail, x: float) -> tuple[float, float]:
+    """(sum, truncation estimate) of the expansion at one x > 0."""
+    total = 0.0
+    env = 1.0
+    for rho, c in zip(*head):
+        env *= rho / x
+        total += env * c
+        if env <= _ASYM_SIZE_STOP * max(1.0, abs(total)):
+            return total, env
+    for rho, c in zip(*tail):
+        r = rho / x
+        if r >= 1.0:
+            return total, env * r  # envelope minimum: optimal truncation
+        env *= r
+        total += env * c
+        if env <= _ASYM_SIZE_STOP * max(1.0, abs(total)):
+            return total, env
+    return total, env
+
+
+def _asym_sum_array(head, tail, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_asym_sum over a 1-d array of x, row by row: a point is frozen at the
+    row where _asym_sum would return, after the same float64 operations.
+    Fixed buffers updated in place keep a kernel-profile call from
+    fragmenting the heap."""
+    total = np.zeros_like(x)
+    env = np.ones_like(x)
+    est = np.empty_like(x)
+    r = np.empty_like(x)
+    tmp = np.empty_like(x)
+    live = np.ones(x.shape, dtype=bool)
+    stop = np.empty(x.shape, dtype=bool)
+    grow_from = len(head[0])
+    for k, (rho, c) in enumerate(zip(head[0] + tail[0], head[1] + tail[1])):
+        np.divide(rho, x, out=r)
+        if k >= grow_from:
+            np.greater_equal(r, 1.0, out=stop)
+            stop &= live
+            if stop.any():
+                np.multiply(env, r, out=est, where=stop)
+                live &= ~stop
+        np.multiply(env, r, out=env, where=live)
+        np.multiply(env, c, out=tmp, where=live)
+        np.add(total, tmp, out=total, where=live)
+        np.abs(total, out=tmp)
+        np.maximum(tmp, 1.0, out=tmp)
+        tmp *= _ASYM_SIZE_STOP
+        np.less_equal(env, tmp, out=stop)
+        stop &= live
+        if stop.any():
+            np.copyto(est, env, where=stop)
+            live &= ~stop
+        if not live.any():
+            break
+    np.copyto(est, env, where=live)  # rows exhausted
+    return total, est
+
+
+def _asymptotic_neg(alpha: float, beta: float, x):
     """Algebraic expansion of E[a,b](-x) in powers of 1/x, truncated at the
-    smallest term of its envelope.  Returns (value, truncation estimate).
+    smallest term of its envelope.  Returns (value, truncation estimate),
+    floats for a float x and arrays for a 1-d array x, equal bit for bit.
 
     The raw coefficients 1/Gamma(b - a*k) oscillate through the reflection
     sine factor, so growth detection uses the smooth envelope
     x^-k * Gamma(1 - b + a*k) / pi instead of the terms themselves.
     """
-    ln_x = math.log(x)
-    total = 0.0
-    env_prev = math.inf
-    est = math.inf
-    k = 0
-    while k < _ASYM_MAX_TERMS:
-        k += 1
-        w = beta - alpha * k
-        if w <= 0.5:
-            ln_env = -k * ln_x + lgamma(1.0 - w) - _LN_PI
-        else:
-            ln_env = -k * ln_x - lgamma(w)
-        env = math.exp(ln_env)
-        if w < 0.0 and env >= env_prev:
-            est = env  # envelope minimum: optimal truncation reached
-            break
-        env_prev = env
-        sgn, ln_rg = _recip_gamma_log(w)
-        if sgn != 0.0:
-            mag = math.exp(-k * ln_x + ln_rg)
-            if k % 2 == 1:
-                total += sgn * mag
-            else:
-                total -= sgn * mag
-        if env <= 1e-18 * max(1.0, abs(total)):
-            est = env
-            break
+    head, tail = _asym_table(alpha, beta)
+    if isinstance(x, float):
+        total, est = _asym_sum(head, tail, x)
+        stalled = est > 1e-10 * max(1.0, abs(total))
     else:
-        est = env_prev
-    if est > 1e-10 * max(1.0, abs(total)):
+        total, est = _asym_sum_array(head, tail, x)
+        bad = est > 1e-10 * np.maximum(1.0, np.abs(total))
+        stalled = bad.any()
+        if stalled:  # report the first stalling point, as a loop would
+            i = int(np.argmax(bad))
+            x, est = float(x[i]), float(est[i])
+    if stalled:
         raise AccuracyError(
             f"asymptotic expansion for E[{alpha},{beta}](-{x}) stalls "
             f"at estimated error {est:.2e}"
@@ -285,6 +385,12 @@ def _integral_neg(alpha: float, beta: float, x):
     return total
 
 
+def _x_asym(alpha: float) -> float:
+    """Smallest x = -z of the asymptotic branch for 0 < alpha < 1: the
+    contour branch takes -x < z < 0, the expansion z <= -x."""
+    return _ASYM_U_MIN**alpha  # |z|^(1/a) >= 36
+
+
 def _branch_masks(alpha: float, z):
     """Masks (zero, series, confluent, contour, asymptotic) over z, a float
     (masks are bools) or a float array (boolean arrays); every point lies in
@@ -295,7 +401,7 @@ def _branch_masks(alpha: float, z):
         return zero, z != 0.0, none, none, none
     if alpha == 1.0:
         return zero, z > 0.0, z < 0.0, none, none
-    x_asym = _ASYM_U_MIN**alpha  # |z|^(1/a) >= 36
+    x_asym = _x_asym(alpha)
     return zero, z > 0.0, none, (z < 0.0) & (z > -x_asym), z <= -x_asym
 
 
@@ -306,7 +412,7 @@ _BRANCHES = (
     (_series_checked, False),
     (lambda alpha, beta, z: _confluent_neg(beta, -z), False),
     (lambda alpha, beta, z: _integral_neg(alpha, beta, -z), True),
-    (lambda alpha, beta, z: _asymptotic_neg(alpha, beta, -z)[0], False),
+    (lambda alpha, beta, z: _asymptotic_neg(alpha, beta, -z)[0], True),
 )
 
 
@@ -347,11 +453,17 @@ def ml_eval(p: MLParams, z):
     outside the caps or (for rapidly growing cases at small alpha) when no
     branch converges to tolerance.
     """
-    if np.ndim(z) == 0:
+    if isinstance(z, (float, int)) or np.ndim(z) == 0:
         z = float(z)
-        _check_domain(z, z)
-        evaluate, _ = _BRANCHES[_branch_masks(p.alpha, z).index(True)]
-        return evaluate(p.alpha, p.beta, z)
+        if not -Z_MAX_NEG <= z <= Z_MAX_POS:  # also NaN
+            _check_domain(z, z)
+        alpha = p.alpha
+        if z < 0.0 and alpha < 1.0:  # the masks' contour/asymptotic split
+            if z > -_x_asym(alpha):
+                return _integral_neg(alpha, p.beta, -z)
+            return _asymptotic_neg(alpha, p.beta, -z)[0]
+        evaluate, _ = _BRANCHES[_branch_masks(alpha, z).index(True)]
+        return evaluate(alpha, p.beta, z)
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
     if flat.size:
@@ -360,9 +472,14 @@ def ml_eval(p: MLParams, z):
     return out.reshape(arr.shape)
 
 
+@lru_cache(maxsize=64, typed=True)
+def _one_params(alpha: float) -> MLParams:
+    return MLParams(alpha, 1.0)
+
+
 def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E[alpha](z) = E[alpha,1](z)."""
-    return ml_eval(MLParams(alpha, 1.0), z)
+    return ml_eval(_one_params(alpha), z)
 
 
 _PROBE_STENCILS = {

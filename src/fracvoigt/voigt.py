@@ -97,9 +97,9 @@ def linear_strain(params: VoigtParams, stress: Signal) -> Signal:
 def _creep_times(t):
     """Validated creep times: a scalar becomes a float, anything else an
     array; every time must be finite and nonnegative."""
-    if np.ndim(t) == 0:
+    if isinstance(t, (float, int)) or np.ndim(t) == 0:
         t = float(t)
-        valid = math.isfinite(t) and t >= 0.0
+        valid = 0.0 <= t < math.inf
     else:
         t = np.asarray(t, dtype=float)
         valid = bool(np.all(np.isfinite(t) & (t >= 0.0)))

@@ -1,6 +1,7 @@
 """Model invariants as Hypothesis properties: sign and causality of the
 discrete operators, monotone bounded creep, the alpha = 1 exponential
-reduction, and Picard iterates approaching the direct linear solution."""
+reduction, Picard iterates approaching the direct linear solution, and
+array Mittag-Leffler and creep calls agreeing with their scalar calls."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracvoigt.fracops import Grid, Signal, _kernel_weights
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T
+from fracvoigt.special import MLParams, ml_eval
 from fracvoigt.voigt import (
     SolverConfig,
     VoigtParams,
@@ -128,3 +130,35 @@ def test_picard_approaches_linear_strain(alpha, eta, e_mod, ratio, ramp):
         gaps.append(float(np.max(np.abs(res.solution.values - linear_strain(p, stress).values))))
     assert gaps[0] <= 0.05 * plateau
     assert gaps[1] <= 0.75 * gaps[0]
+
+
+@st.composite
+def negative_axis_cases(draw):
+    """(alpha, beta, x) with points x in [0, 100] (z = -x), weighted toward
+    the asymptotic side x^(1/alpha) >= 36 of the contour rule (three of
+    five choices, one more on the boundary itself)."""
+    alpha = draw(st.floats(0.02, 0.999))
+    beta = draw(st.floats(0.05, 8.0))
+    x_asym = 36.0**alpha
+    asym = st.floats(x_asym, 100.0)
+    point = st.one_of(asym, asym, asym, st.floats(0.0, x_asym), st.just(x_asym))
+    return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(negative_axis_cases())
+def test_ml_eval_array_equals_scalar_loop(case):
+    alpha, beta, x = case
+    p = MLParams(alpha, beta)
+    assert ml_eval(p, -x).tolist() == [ml_eval(p, -float(v)) for v in x]
+
+
+@settings(max_examples=60, deadline=None)
+@given(negative_axis_cases(), log_scale, log_scale)
+def test_creep_array_matches_float_calls(case, eta, e_mod):
+    alpha, _, x = case
+    p = VoigtParams(eta=eta, e_mod=e_mod, alpha=alpha)
+    # (t/tau)^alpha = x up to rounding, kept clear of the cap z >= -100
+    t = np.minimum(x, 99.0) ** (1.0 / alpha) * p.tau
+    expected = [creep_function(p, float(v)) for v in t]
+    np.testing.assert_allclose(creep_function(p, t), expected, rtol=1e-13, atol=0.0)

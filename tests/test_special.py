@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fracvoigt import special
 from fracvoigt.errors import AccuracyError, DomainError
 from fracvoigt.special import (
     MLParams,
@@ -17,6 +18,7 @@ from fracvoigt.special import (
     _branch_masks,
     _confluent_neg,
     _integral_neg,
+    _one_params,
     _series,
     ml_deriv_sign_probe,
     ml_eval,
@@ -248,6 +250,82 @@ class TestArrayEvaluation:
             ml_eval(p, np.array([Z_MAX_POS + 1.0, 0.0]))
         with pytest.raises(DomainError):
             ml_eval(p, np.array([-1.0, float("nan")]))
+
+
+class TestScalarFastPath:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.6])
+    @pytest.mark.parametrize(
+        "z",
+        [-3, True, False, np.float64(-2.5), np.float32(-2.5), np.int64(-40), np.array(-7.25)],
+        ids=["int", "true", "false", "float64", "float32", "int64", "0-d"],
+    )
+    def test_scalar_types_give_the_float_result(self, alpha, z):
+        p = MLParams(alpha, 0.8)
+        try:
+            expected = ml_eval(p, float(z))
+        except AccuracyError:  # alpha > 1 far out: the series raises honestly
+            with pytest.raises(AccuracyError):
+                ml_eval(p, z)
+            return
+        got = ml_eval(p, z)
+        assert type(got) is float and got == expected
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.999])
+    @pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
+    def test_scalar_equals_one_element_array_at_branch_edges(self, alpha, beta):
+        p = MLParams(alpha, beta)
+        edge = -(36.0**alpha)  # |z|^(1/alpha) = 36
+        for z in (-0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0)):
+            got = ml_eval(p, float(z))
+            assert type(got) is float
+            assert np.array([got]).tobytes() == ml_eval(p, np.array([z])).tobytes()
+        assert ml_eval(p, -0.0) == 1.0 / math.gamma(beta)
+
+    @pytest.mark.parametrize(
+        "z,error,message",
+        [
+            (float("nan"), DomainError, "z must be finite, got nan"),
+            (float("inf"), DomainError, "z must be finite, got inf"),
+            (-float("inf"), DomainError, "z must be finite, got -inf"),
+            (np.float32("nan"), DomainError, "z must be finite, got nan"),
+            (-100.5, AccuracyError, "z=-100.5 outside the supported domain [-100, 30]"),
+            (30.25, AccuracyError, "z=30.25 outside the supported domain [-100, 30]"),
+            (-101, AccuracyError, "z=-101.0 outside the supported domain [-100, 30]"),
+        ],
+    )
+    def test_domain_messages(self, z, error, message):
+        for arg in (z, np.array([z])):
+            with pytest.raises(error) as info:
+                ml_eval(MLParams(0.5, 1.0), arg)
+            assert str(info.value) == message
+
+    def test_ml_one_caches_params_per_alpha_type(self):
+        assert ml_one(np.float64(0.5), -4.0) == ml_one(0.5, -4.0)
+        assert ml_one(1, -1.0) == ml_one(1.0, -1.0)
+        assert type(_one_params(np.float64(0.5)).alpha) is np.float64
+        assert type(_one_params(1).alpha) is int
+        with pytest.raises(DomainError):
+            ml_one(float("nan"), -1.0)
+
+
+@pytest.fixture
+def short_asym_table(monkeypatch):
+    """Asymptotic tables cut at five rows, so mid-range x stall."""
+    monkeypatch.setattr(special, "_ASYM_MAX_TERMS", 5)
+    special._asym_table.cache_clear()
+    yield
+    special._asym_table.cache_clear()
+
+
+def test_array_stall_raises_the_scalar_message(short_asym_table):
+    p = MLParams(0.5, 1.0)
+    assert ml_eval(p, -100.0) == pytest.approx(0.005641613782989433, rel=1e-9)
+    with pytest.raises(AccuracyError) as scalar:
+        ml_eval(p, -40.0)
+    assert "stalls" in str(scalar.value)
+    with pytest.raises(AccuracyError) as array:
+        ml_eval(p, np.array([-1.0, -100.0, -40.0, -0.5, -39.0]))
+    assert str(array.value) == str(scalar.value)
 
 
 class TestBranchConsistency:
