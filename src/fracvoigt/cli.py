@@ -10,6 +10,10 @@ at full round-trip precision, followed by ``#``-prefixed trailer comments
 carrying solver metadata.  Exit codes: 0 success, 1 solver did not converge
 (output is still written, flagged in the trailer), 2 usage error, 3 I/O
 error.  Set FRACVOIGT_LOG=debug|info|warning for logging verbosity.
+
+Flag values are checked by the library types they build; run() names the
+flag whose field leads a DomainError (``--eta must be positive``).  The CLI
+itself checks only the --stress-csv format and the MAX_N cap on --n.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .fracops import Grid, Signal
 from .nonlinear import ConstitutiveLaw, check_hypotheses, residual, solve_nonlinear
 from .special import MLParams, ml_eval
 from .voigt import (
+    PicardResult,
     SolverConfig,
     VoigtParams,
     creep_function,
@@ -41,6 +46,11 @@ from .voigt import (
 logger = logging.getLogger("fracvoigt.cli")
 
 STRESS_BUILTINS = ("zero", "unit-step", "ramp")
+
+# Largest --n: a run holds about 150 bytes per grid point at its peak (113
+# traced, 150 of RSS at n = 262144 for creep, strain, picard and solve), so
+# the cap bounds one run near 0.6 GB.
+MAX_N = 1 << 22
 
 
 class UsageError(Exception):
@@ -55,7 +65,9 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-end", type=float, default=None, help="end of the time window (default 1.0)")
-    p.add_argument("--n", type=int, default=None, help="number of grid intervals (default 256)")
+    p.add_argument(
+        "--n", type=int, default=None, help=f"number of grid intervals, 1 to {MAX_N} (default 256)"
+    )
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -142,24 +154,13 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _model_params(args: argparse.Namespace) -> VoigtParams:
-    _require(0.0 < args.alpha <= 1.0, "--alpha must lie in (0, 1]")
-    _require(args.eta > 0.0, "--eta must be positive")
-    _require(args.e_mod > 0.0, "--e-mod must be positive")
     return VoigtParams(eta=args.eta, e_mod=args.e_mod, alpha=args.alpha)
 
 
 def _grid(args: argparse.Namespace) -> Grid:
-    t_end = 1.0 if args.t_end is None else args.t_end
     n = 256 if args.n is None else args.n
-    _require(t_end > 0.0, "--t-end must be positive")
-    _require(n >= 1, "--n must be at least 1")
-    return Grid(t_end=t_end, n=n)
-
-
-def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    _require(args.tol > 0.0, "--tol must be positive")
-    _require(args.max_iter >= 1, "--max-iter must be at least 1")
-    return SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    _require(n <= MAX_N, f"--n must be at most {MAX_N}, got {n}")
+    return Grid(t_end=1.0 if args.t_end is None else args.t_end, n=n)
 
 
 def _read_stress_csv(path: str) -> Signal:
@@ -178,13 +179,16 @@ def _read_stress_csv(path: str) -> Signal:
         except ValueError:
             raise UsageError(f"--stress-csv {path}: non-numeric row {ln!r}") from None
     _require(len(t_vals) >= 2, f"--stress-csv {path}: need at least two rows")
-    t = np.array(t_vals)
+    t, f = np.array(t_vals), np.array(f_vals)
+    _require(bool(np.isfinite(t).all() and np.isfinite(f).all()),
+             f"--stress-csv {path}: entries must be finite")
     _require(abs(t[0]) == 0.0, f"--stress-csv {path}: grid must start at t=0")
     h = t[-1] / (len(t) - 1)
     uniform = np.allclose(np.diff(t), h, rtol=1e-9, atol=1e-12 * max(1.0, t[-1]))
-    _require(bool(uniform), f"--stress-csv {path}: grid must be uniform")
-    grid = Grid(t_end=float(t[-1]), n=len(t) - 1)
-    return Signal(grid, np.array(f_vals))
+    _require(
+        bool(uniform) and h > 0.0, f"--stress-csv {path}: grid must be uniform and increasing"
+    )
+    return Signal(Grid(t_end=float(t[-1]), n=len(t) - 1), f)
 
 
 def _stress_signal(args: argparse.Namespace, grid: Grid | None) -> Signal:
@@ -235,8 +239,6 @@ def _warn_nonzero_initial_stress(stress: Signal) -> None:
 
 
 def _cmd_ml(args: argparse.Namespace) -> int:
-    _require(0.0 < args.alpha <= 2.0, "--alpha must lie in (0, 2] for ml")
-    _require(args.beta > 0.0, "--beta must be positive")
     value = ml_eval(MLParams(args.alpha, args.beta), args.z)
     with _output(args.output) as out:
         out.write(f"{value!r}\n")
@@ -263,56 +265,55 @@ def _cmd_strain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_picard(args: argparse.Namespace) -> int:
-    params = _model_params(args)
-    cfg = _solver_config(args)
-    grid = None if args.stress_csv is not None else _grid(args)
-    stress = _stress_signal(args, grid)
-    _warn_nonzero_initial_stress(stress)
-    result = picard_linear(params, stress, cfg)
+def _write_solution(
+    args: argparse.Namespace, result: PicardResult, what: str,
+    extra: Sequence[str] = (), notes: Sequence[str] = (),
+) -> int:
+    """Write a solver result with its trailer; warn and return 1 when the
+    iteration did not converge."""
     trailer = [
         f"iterations={result.iterations}",
         f"final_diff={result.final_diff!r}",
+        *extra,
         f"converged={'true' if result.converged else 'false'}",
+        *notes,
     ]
     with _output(args.output) as out:
         _write_csv(out, result.solution.grid, result.solution.values, trailer)
-    if not result.converged:
-        print(
-            f"warning: picard did not converge in {result.iterations} iterations "
-            f"(final diff {result.final_diff:.3e})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    if result.converged:
+        return 0
+    print(
+        f"warning: {what} did not converge in {result.iterations} iterations "
+        f"(final diff {result.final_diff:.3e})",
+        file=sys.stderr,
+    )
+    return 1
+
+
+def _cmd_picard(args: argparse.Namespace) -> int:
+    params = _model_params(args)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    grid = None if args.stress_csv is not None else _grid(args)
+    stress = _stress_signal(args, grid)
+    _warn_nonzero_initial_stress(stress)
+    return _write_solution(args, picard_linear(params, stress, cfg), "picard")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = _model_params(args)
-    cfg = _solver_config(args)
-    _require(0.0 < args.damping <= 1.0, "--damping must lie in (0, 1]")
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     grid = _grid(args)
     law = ConstitutiveLaw.from_expression(args.sigma_expr)
     result = solve_nonlinear(params, law, grid, cfg, damping=args.damping)
     res = residual(params, law, result.solution)
-    trailer = [
-        f"iterations={result.iterations}",
-        f"final_diff={result.final_diff!r}",
-        f"residual={res!r}",
-        f"converged={'true' if result.converged else 'false'}",
-        "note: fixed-point convergence is empirical; existence of a solution "
-        "is not certified by this computation",
-    ]
-    with _output(args.output) as out:
-        _write_csv(out, result.solution.grid, result.solution.values, trailer)
-    if not result.converged:
-        print(
-            f"warning: fixed-point iteration did not converge in "
-            f"{result.iterations} iterations (final diff {result.final_diff:.3e})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _write_solution(
+        args, result, "fixed-point iteration",
+        extra=[f"residual={res!r}"],
+        notes=[
+            "note: fixed-point convergence is empirical; existence of a solution "
+            "is not certified by this computation"
+        ],
+    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -355,12 +356,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except (UsageError, DomainError, ParseError, EvaluationError, AccuracyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        field, _, rest = message.partition(" ")
+        if isinstance(exc, DomainError) and field in vars(args):
+            message = f"--{field.replace('_', '-')} {rest}"  # a library check of a flag
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(run())

@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -103,10 +103,6 @@ class Signal:
     @classmethod
     def zeros(cls, grid: Grid) -> "Signal":
         return cls(grid, np.zeros(grid.n + 1))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn: Callable[[float], float]) -> "Signal":
-        return cls(grid, np.array([fn(t) for t in grid.points]))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -5,7 +5,8 @@ The model is solved as a fixed-point problem for the integral operator
     (T eps)(t) = (1/eta^a) int_0^t (t-s)^(a-1)
                  E[a,a](-((t-s)/tau)^a) sigma(eps(s)) ds,
 
-iterated from eps = 0 by plain successive substitution (optionally damped).
+iterated from eps = 0 by plain successive substitution (optionally damped)
+in voigt._fixed_point, the same loop that runs picard_linear.
 Existence of a positive bounded solution is guaranteed for continuous,
 convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
 at infinity, but no contraction property comes with it: convergence of the
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .fracops import Grid, Signal, ml_kernel_convolve
-from .voigt import PicardResult, SolverConfig, VoigtParams
+from .voigt import PicardResult, SolverConfig, VoigtParams, _fixed_point
 
 __all__ = [
     "ConstitutiveLaw",
@@ -141,37 +142,19 @@ def solve_nonlinear(
     starting from eps = 0.
 
     damping = 1 is plain successive substitution; smaller values help
-    non-contractive cases.  Non-convergence is reported, not raised.
+    non-contractive cases.  Non-convergence is reported, not raised (see
+    voigt._fixed_point).
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if not (0.0 < damping <= 1.0):
         raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
-    prev = Signal.zeros(grid)
-    history: list[float] = []
-    iterations = 0
-    converged = False
-    diff = math.inf
-    for k in range(1, cfg.max_iter + 1):
-        step = apply_T(params, law, prev)
+
+    def step(eps: Signal) -> Signal:
+        image = apply_T(params, law, eps)
         if damping < 1.0:
-            cur = Signal(grid, (1.0 - damping) * prev.values + damping * step.values)
-        else:
-            cur = step
-        diff = float(np.max(np.abs(cur.values - prev.values)))
-        history.append(diff)
-        prev = cur
-        iterations = k
-        if diff < cfg.tol:
-            converged = True
-            break
-    return PicardResult(
-        solution=prev,
-        iterations=iterations,
-        final_diff=diff,
-        converged=converged,
-        diff_history=history,
-    )
+            return Signal(grid, (1.0 - damping) * eps.values + damping * image.values)
+        return image
+
+    return _fixed_point(step, Signal.zeros(grid), cfg or SolverConfig())
 
 
 def residual(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> float:

@@ -96,13 +96,9 @@ class MLParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
-            raise DomainError(
-                f"MLParams.alpha must lie in (0, 2], got {self.alpha!r}"
-            )
+            raise DomainError(f"alpha must lie in (0, 2], got {self.alpha!r}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise DomainError(
-                f"MLParams.beta must be positive, got {self.beta!r}"
-            )
+            raise DomainError(f"beta must be positive, got {self.beta!r}")
 
 
 def _recip_gamma_log(w: float) -> tuple[float, float]:

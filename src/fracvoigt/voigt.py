@@ -10,13 +10,16 @@ approximation of the underlying second-kind Volterra equation,
     eps_m = I^a sigma / eta^a - I^a eps_{m-1} / tau^a,
     eps_0 = I^a sigma / eta^a,
 
-using only the discrete fractional integral.
+using only the discrete fractional integral.  _fixed_point is the one
+iteration loop of the package: picard_linear and nonlinear.solve_nonlinear
+each supply only their step and starting iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -134,38 +137,49 @@ def creep_function_alt(params: VoigtParams, t: float) -> float:
     return (t**a / params.eta**a) * ml_eval(MLParams(a, a + 1.0), arg)
 
 
-def picard_linear(
-    params: VoigtParams, stress: Signal, cfg: SolverConfig | None = None
+def _fixed_point(
+    step: Callable[[Signal], Signal], start: Signal, cfg: SolverConfig
 ) -> PicardResult:
-    """Solve the linear model by successive approximation.
+    """Successive approximation x_k = step(x_{k-1}) from x_0 = start: the
+    one iteration loop behind picard_linear and solve_nonlinear.
 
     Stops when the sup-norm difference of consecutive iterates drops below
     cfg.tol; non-convergence within cfg.max_iter is reported on the result,
     not raised.
     """
-    if cfg is None:
-        cfg = SolverConfig()
+    prev = start
+    history: list[float] = []
+    for _ in range(cfg.max_iter):  # at least once: SolverConfig checks max_iter >= 1
+        cur = step(prev)
+        diff = float(np.max(np.abs(cur.values - prev.values)))
+        history.append(diff)
+        prev = cur
+        if diff < cfg.tol:
+            break
+    return PicardResult(
+        solution=prev,
+        iterations=len(history),
+        final_diff=diff,
+        converged=diff < cfg.tol,
+        diff_history=history,
+    )
+
+
+def picard_linear(
+    params: VoigtParams, stress: Signal, cfg: SolverConfig | None = None
+) -> PicardResult:
+    """Solve the linear model by successive approximation from
+    eps_0 = I^a sigma / eta^a.
+
+    Stops when the sup-norm difference of consecutive iterates drops below
+    cfg.tol; non-convergence within cfg.max_iter is reported on the result,
+    not raised (both are _fixed_point's).
+    """
     a = params.alpha
     base = rl_integral(a, stress).values / params.eta**a
     tau_a = params.tau**a
-    prev = base
-    history: list[float] = []
-    iterations = 0
-    converged = False
-    diff = math.inf
-    for m in range(1, cfg.max_iter + 1):
-        cur = base - rl_integral(a, Signal(stress.grid, prev)).values / tau_a
-        diff = float(np.max(np.abs(cur - prev)))
-        history.append(diff)
-        prev = cur
-        iterations = m
-        if diff < cfg.tol:
-            converged = True
-            break
-    return PicardResult(
-        solution=Signal(stress.grid, prev),
-        iterations=iterations,
-        final_diff=diff,
-        converged=converged,
-        diff_history=history,
+    return _fixed_point(
+        lambda eps: Signal(stress.grid, base - rl_integral(a, eps).values / tau_a),
+        Signal(stress.grid, base),
+        cfg or SolverConfig(),
     )

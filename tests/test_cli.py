@@ -1,5 +1,6 @@
 """Command-line interface: dispatch, CSV schema, exit codes, determinism."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracvoigt import cli
 from fracvoigt.cli import run
 
 
@@ -39,6 +41,12 @@ class TestMl:
     def test_bad_alpha_exits_2(self, capsys):
         assert run(["ml", "--alpha", "3", "--beta", "1", "--z", "1"]) == 2
         assert "--alpha" in capsys.readouterr().err
+        # MLParams and ml_eval reject these; the message names the flag
+        for flag, value in [("--alpha", "nan"), ("--beta", "inf"), ("--beta", "nan"),
+                            ("--z", "inf"), ("--z", "nan")]:
+            args = {"--alpha": "0.5", "--beta": "1", "--z": "1", flag: value}
+            assert run(["ml", *(x for kv in args.items() for x in kv)]) == 2
+            assert f"error: {flag} must" in capsys.readouterr().err
 
     def test_out_of_domain_z_exits_2(self, capsys):
         assert run(["ml", "--alpha", "0.5", "--z", "-500"]) == 2
@@ -157,13 +165,23 @@ class TestStrain:
         ]) == 2
         assert "--n" in capsys.readouterr().err
 
-    def test_malformed_csv_exits_2(self, tmp_path):
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way
+    def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("time,stress\n0,0\n")
         assert run([
             "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
             "--stress-csv", str(path),
         ]) == 2
+        for body in ["0,0\ninf,1\n", "0,0\nnan,1\n", "0,0\n1,inf\n", "0,nan\n1,1\n",
+                     "0,0\n-1,1\n", "0,0\n0,1\n"]:
+            path.write_text("t,value\n" + body)
+            capsys.readouterr()
+            assert run([
+                "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
+                "--stress-csv", str(path),
+            ]) == 2
+            assert capsys.readouterr().err.startswith(f"error: --stress-csv {path}: ")
 
 
 class TestFlagValidation:
@@ -178,6 +196,13 @@ class TestFlagValidation:
             (["--e-mod", "0"], "--e-mod"),
             (["--t-end", "-2"], "--t-end"),
             (["--n", "0"], "--n"),
+            (["--eta", "inf"], "--eta"),
+            (["--eta", "nan"], "--eta"),
+            (["--e-mod", "inf"], "--e-mod"),
+            (["--e-mod", "nan"], "--e-mod"),
+            (["--t-end", "inf"], "--t-end"),
+            (["--t-end", "nan"], "--t-end"),
+            (["--alpha", "nan"], "--alpha"),
         ],
     )
     def test_creep_flag_errors_name_the_flag(self, capsys, override, flag):
@@ -195,12 +220,28 @@ class TestFlagValidation:
         [
             (["--tol", "0"], "--tol"),
             (["--max-iter", "0"], "--max-iter"),
+            (["--tol", "inf"], "--tol"),
+            (["--tol", "nan"], "--tol"),
         ],
     )
     def test_solver_flag_errors(self, capsys, override, flag):
         args = ["picard"] + self.BASE + ["--stress-builtin", "ramp"] + override
         assert run(args) == 2
         assert flag in capsys.readouterr().err
+
+    def test_grid_size_cap(self, monkeypatch, capsys):
+        # Grid builds its points lazily, so a capped-size grid costs nothing
+        args = argparse.Namespace(t_end=None, n=cli.MAX_N)
+        assert cli._grid(args).n == cli.MAX_N
+        assert "points" not in vars(cli._grid(args))
+        args.n = 100_000_000_000
+        with pytest.raises(cli.UsageError, match="^--n must be at most"):
+            cli._grid(args)
+        # end to end against a small cap: exit 2, naming --n
+        monkeypatch.setattr(cli, "MAX_N", 8)
+        assert run(["creep"] + self.BASE + ["--n", "9"]) == 2
+        assert capsys.readouterr().err == "error: --n must be at most 8, got 9\n"
+        assert run(["creep"] + self.BASE + ["--n", "8"]) == 0
 
     def test_non_numeric_flag_exits_2(self, capsys):
         assert run(["creep", "--alpha", "abc", "--eta", "1", "--e-mod", "2"]) == 2

@@ -146,6 +146,15 @@ class TestSolveNonlinear:
         )
         assert not res.converged
         assert len(res.diff_history) == 2
+        # the result contract of the loop shared with picard_linear, plain
+        # and damped, converged and stopped at the cap
+        for damping in (1.0, 0.7):
+            for cfg in (SolverConfig(tol=1e-8, max_iter=100), SolverConfig(max_iter=1)):
+                res = solve_nonlinear(EXAMPLE_PARAMS, INV_LINEAR, g, cfg, damping)
+                assert res.iterations == len(res.diff_history)
+                assert res.final_diff == res.diff_history[-1]
+                assert res.converged == (res.final_diff < cfg.tol)
+                assert res.converged == (cfg.max_iter > 1)
 
     def test_classical_limit_against_ode_integrator(self):
         # alpha = 1, eta = 1, E = 2: eps' = -2 eps + 1/(1+eps), eps(0) = 0

@@ -172,11 +172,13 @@ class TestPicardLinear:
         p = VoigtParams(1.0, 2.0, 0.5)
         g = Grid(1.0, 64)
         cfg = SolverConfig(tol=1e-8, max_iter=60)
-        res = picard_linear(p, Signal(g, np.ones(65)), cfg)
-        assert isinstance(res, PicardResult)
-        assert res.final_diff == res.diff_history[-1]
-        assert res.converged == (res.final_diff < cfg.tol)
-        assert res.iterations == len(res.diff_history)
+        for cfg in (cfg, SolverConfig(tol=1e-8, max_iter=1)):
+            res = picard_linear(p, Signal(g, np.ones(65)), cfg)
+            assert isinstance(res, PicardResult)
+            assert res.final_diff == res.diff_history[-1]
+            assert res.converged == (res.final_diff < cfg.tol)
+            assert res.iterations == len(res.diff_history)
+        assert res.iterations == 1 and not res.converged  # max_iter=1
 
     def test_first_iterate_partial_sum(self):
         # eps_1 = I^a sigma / eta^a - I^(2a) sigma / (eta^a tau^a), with
