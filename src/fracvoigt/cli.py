@@ -13,7 +13,8 @@ error.  Set FRACVOIGT_LOG=debug|info|warning for logging verbosity.
 
 Flag values are checked by the library types they build; run() names the
 flag whose field leads a DomainError (``--eta must be positive``).  The CLI
-itself checks only the --stress-csv format and the MAX_N cap on --n.
+itself checks only the --stress-csv format and the MAX_N and MAX_ITER
+caps on --n and --max-iter.
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ STRESS_BUILTINS = ("zero", "unit-step", "ramp")
 # traced, 150 of RSS at n = 262144 for creep, strain, picard and solve), so
 # the cap bounds one run near 0.6 GB.
 MAX_N = 1 << 22
+# Largest --max-iter: 250 times the most sweeps any seeded law needs (38),
+# so a run that cannot converge stops in seconds, not hours.
+MAX_ITER = 10000
 
 
 class UsageError(Exception):
@@ -72,7 +76,9 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8, help="sup-norm stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
+    p.add_argument(
+        "--max-iter", type=int, default=200, help=f"iteration cap, at most {MAX_ITER}"
+    )
 
 
 def _add_stress_flags(p: argparse.ArgumentParser) -> None:
@@ -161,6 +167,12 @@ def _grid(args: argparse.Namespace) -> Grid:
     n = 256 if args.n is None else args.n
     _require(n <= MAX_N, f"--n must be at most {MAX_N}, got {n}")
     return Grid(t_end=1.0 if args.t_end is None else args.t_end, n=n)
+
+
+def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    max_iter = args.max_iter
+    _require(max_iter <= MAX_ITER, f"--max-iter must be at most {MAX_ITER}, got {max_iter}")
+    return SolverConfig(tol=args.tol, max_iter=max_iter)
 
 
 def _read_stress_csv(path: str) -> Signal:
@@ -292,7 +304,7 @@ def _write_solution(
 
 def _cmd_picard(args: argparse.Namespace) -> int:
     params = _model_params(args)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    cfg = _solver_config(args)
     grid = None if args.stress_csv is not None else _grid(args)
     stress = _stress_signal(args, grid)
     _warn_nonzero_initial_stress(stress)
@@ -301,7 +313,7 @@ def _cmd_picard(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = _model_params(args)
-    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter)
+    cfg = _solver_config(args)
     grid = _grid(args)
     law = ConstitutiveLaw.from_expression(args.sigma_expr)
     result = solve_nonlinear(params, law, grid, cfg, damping=args.damping)

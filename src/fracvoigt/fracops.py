@@ -1,42 +1,38 @@
 """Discrete fractional operators on uniform time grids.
 
-Both operators use product integration: the regular factor of the integrand
-is replaced by its piecewise-linear interpolant on the grid while the weakly
-singular factor (t - s)^(a-1) is integrated in closed form against it.  On a
-uniform grid this collapses to a discrete convolution with the classical
-product-trapezoidal weights
+Both operators are convolutions with a weakly singular kernel,
+k(t) = t^(a-1) E[a,a](-(t/tau)^a), and use one product-integration rule
+(Linz 1985, ch. 7): the data are replaced by their piecewise-linear
+interpolant on the grid, which is integrated exactly against k.  Only the
+first two integrals of k enter, and both have closed forms (Podlubny 1999,
+eq. 1.100): I^1 k(t) = t^a E[a,a+1](-(t/tau)^a) and
+F(t) = I^2 k(t) = t^(a+1) E[a,a+2](-(t/tau)^a).  On the grid t_m = m h,
 
-    (I^a f)(t_j) = h^a / Gamma(a+2) * ( b_j f_0 + sum_{k=1}^{j} w_{j-k} f_k ),
+    (k * f)(t_j) = B_j f_0 + sum_{k=1}^{j} W_{j-k} f_k,
 
-    b_j = (j-1)^(a+1) - j^(a+1) + (a+1) j^a,
-    w_0 = 1,   w_m = (m+1)^(a+1) - 2 m^(a+1) + (m-1)^(a+1)  (m >= 1),
+    d_0 = 0,   d_m = F(t_m) - F(t_(m-1)),
+    W_m = (d_(m+1) - d_m) / h          (m = 0..n-1),
+    B_j = I^1 k(t_j) - d_j / h         (j = 1..n).
 
-which is exact for piecewise-linear data and converges at rate O(h^(1+a))
-for smooth integrands.  The Mittag-Leffler kernel convolution is a sum of
-such operators over the same data: the peeled leading powers of the kernel
-series, each with its own order, and the remainder folded into the
-interpolated factor.  All are linear in f, so their weights are folded once
-per (alpha, tau, h, n) into one boundary vector B and one convolution
-vector W of the same form.
+W_m is the integral of k against a hat function and B_j against a half
+hat, so every weight is positive, since k is, wherever it exceeds the
+rounding of its differences (about eps m of the plateau tau^a).  The
+algebraic tail of k stays above it for alpha <= 0.999; the exponential
+kernel of alpha = 1 falls below it past t/tau of about 20, where its
+weights are rounding noise of either sign.  The rule is exact for
+piecewise-linear data (a unit step reproduces the creep function to
+rounding) and converges at O(h^2) for smooth data.  rl_integral is the
+case tau = inf, where k(t) = t^(a-1)/Gamma(a).
 
-Folded weights are memoized per (alpha, tau, h, n), and the rl_integral
-weights per (alpha, n), as B together with the spectrum rfft(W, 2n); the
-kernel is translation invariant on a uniform grid, so one array evaluation
-of n+1 kernel samples builds them.  An apply is then one rfft of the data,
-one product and one irfft: O(n log n).  Two rules keep the FFT's rounding
-(about 1e-16 of the largest output) from showing where the direct sum has
-none:
+The weights are memoized per (alpha, tau, h, n) as B together with the
+spectrum rfft(W, 2n); one array evaluation of F and one of I^1 k at
+t_0..t_n build them.  An apply is then one rfft of the data, one product
+and one irfft: O(n log n).  Two rules keep the FFT's rounding (about
+1e-16 of the largest output) from showing where the direct sum has none:
 
 * causality: the data enter from their first nonzero sample on, so the
   output before it is exactly 0;
-* sign: when every weight in B and W is strictly positive, the output of
-  nonnegative data is clipped to >= 0.  The rl_integral weights always are
-  (0 < a <= 1).  The folded kernel weights are on most grids, but not on
-  all: the peeled series can make W_0 negative on grids coarser than about
-  the retardation time ((h/tau)^a near 1 or above), and the tail of B
-  negative for some orders near a = 0.45 once (t_end/tau)^a exceeds about
-  4.  There the scheme itself gives negative values for nonnegative data,
-  and they are kept, not clipped.
+* sign: the output of nonnegative data is clipped to >= 0.
 """
 
 from __future__ import annotations
@@ -108,35 +104,36 @@ class Signal:
         return float(np.max(np.abs(self.values)))
 
 
-def _pt_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product-trapezoidal boundary weights b_j (j = 1..n) and convolution
-    weights w_m (m = 0..n-1).  Valid for any order alpha > 0."""
-    a1 = alpha + 1.0
-    j = np.arange(1, n + 1, dtype=float)
-    b = (j - 1.0) ** a1 - j**a1 + a1 * j**alpha
-    m = np.arange(0, n, dtype=float)
-    w = (m + 1.0) ** a1 - 2.0 * m**a1 + np.abs(m - 1.0) ** a1
-    w[0] = 1.0
-    return b, w
+def _kernel_integral(alpha: float, tau: float, nu: int, t):
+    """I^nu k(t) = t^(a+nu-1) E[a,a+nu](-(t/tau)^a), the nu-fold integral of
+    the kernel k(t) = t^(a-1) E[a,a](-(t/tau)^a) (Podlubny 1999, eq. 1.100),
+    at a time or an array of times; tau = inf gives t^(a+nu-1)/Gamma(a+nu)."""
+    z = -((t / tau) ** alpha)
+    return t ** (alpha + nu - 1) * ml_eval(MLParams(alpha, alpha + nu), z)
 
 
-def _spectrum(b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The boundary weights b, read-only, the length-2n spectrum of the
-    convolution weights w, and whether all of b and w are strictly positive
-    (the sign rule)."""
-    spec = np.fft.rfft(w, 2 * len(w))
-    b.setflags(write=False)
+@lru_cache(maxsize=32)
+def _kernel_weights(
+    alpha: float, tau: float, h: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-trapezoidal weights of the kernel on (alpha, tau, h, n):
+    the boundary weights B, read-only, and the length-2n spectrum of the
+    convolution weights W (module docstring)."""
+    t = np.arange(n + 1) * h
+    d = np.diff(_kernel_integral(alpha, tau, 2, t), prepend=0.0)  # d_0 = 0
+    big_w = np.diff(d) / h
+    big_b = _kernel_integral(alpha, tau, 1, t[1:]) - d[1:] / h
+    spec = np.fft.rfft(big_w, 2 * n)
+    big_b.setflags(write=False)
     spec.setflags(write=False)
-    return b, spec, bool(np.all(b > 0.0) and np.all(w > 0.0))
+    return big_b, spec
 
 
-def _pt_apply(
-    weights: tuple[np.ndarray, np.ndarray, bool], values: np.ndarray
-) -> np.ndarray:
-    """The sums b_j f_0 + sum_{k=1}^{j} w_{j-k} f_k for j = 1..n (0 at
+def _pt_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The sums B_j f_0 + sum_{k=1}^{j} W_{j-k} f_k for j = 1..n (0 at
     j = 0) by one FFT convolution of length 2n, under the causality and
     sign rules of the module docstring."""
-    b, spec, positive = weights
+    b, spec = weights
     n = len(b)
     out = np.zeros(n + 1)
     nonzero = np.flatnonzero(values)
@@ -146,77 +143,20 @@ def _pt_apply(
     tail = np.fft.irfft(np.fft.rfft(values[first:], 2 * n) * spec, 2 * n)
     out[first:] = tail[: n + 1 - first]
     out[1:] += b * values[0]
-    if positive and values.min() >= 0.0:
+    if values.min() >= 0.0:
         np.maximum(out, 0.0, out=out)
     return out
-
-
-@lru_cache(maxsize=32)
-def _rl_weights(alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    return _spectrum(*_pt_weights(alpha, n))
 
 
 def rl_integral(alpha: float, f: Signal) -> Signal:
     """Fractional integral of order alpha of f on its own grid,
     (I^a f)(t) = 1/Gamma(a) * int_0^t (t-s)^(a-1) f(s) ds, with value 0
-    at t = 0 by definition."""
+    at t = 0 by definition: the kernel convolution at tau = inf, on the
+    unit grid scaled by h^a."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"rl_integral requires 0 < alpha <= 1, got {alpha!r}")
-    scale = f.grid.h**alpha / math.gamma(alpha + 2.0)
-    return Signal(f.grid, scale * _pt_apply(_rl_weights(alpha, f.grid.n), f.values))
-
-
-def _kernel_profile(alpha: float, tau: float, h: float, n: int) -> np.ndarray:
-    """Kernel samples E[a,a](-((m*h)/tau)^a) for offsets m = 0..n."""
-    return ml_eval(MLParams(alpha, alpha), -(((np.arange(n + 1) * h) / tau) ** alpha))
-
-
-def _peel_count(alpha: float, v_max: float) -> int:
-    """Number of leading kernel-series terms integrated exactly.
-
-    The Mittag-Leffler factor has a (t-s)^alpha cusp at the singular point,
-    so jointly interpolating kernel times data is only O(h^(2*alpha)).
-    Peeling p = ceil(1/alpha) terms leaves a remainder with a (t-s)^(p*a)
-    cusp, restoring the O(h^(1+alpha)) rate.  Peeling is skipped when
-    (t_end/tau)^alpha is large (the peeled powers grow like v_max^p and
-    cancel wildly; measured crossover is near v_max = 20); there the plain
-    scheme is used unchanged.
-    """
-    if v_max > 12.0:
-        return 0
-    return math.ceil(1.0 / alpha - 1e-12)
-
-
-def _folded_weights(
-    alpha: float, tau: float, h: float, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary weights B and convolution weights W of the kernel
-    convolution on one (alpha, tau, h, n): each peeled power term and the
-    remainder is a product-trapezoidal sum over the same data, so their
-    weights add up to one pair."""
-    v = ((np.arange(n + 1) * h) / tau) ** alpha  # ((m h)/tau)^a per offset
-    resid = _kernel_profile(alpha, tau, h, n)
-    big_b = np.zeros(n)
-    big_w = np.zeros(n)
-    for j in range(_peel_count(alpha, float(v[-1]))):
-        order = alpha * (j + 1)
-        b, w = _pt_weights(order, n)
-        scale = (-1.0 / tau**alpha) ** j * h**order / math.gamma(order + 2.0)
-        big_b += scale * b
-        big_w += scale * w
-        resid -= (-v) ** j / math.gamma(order)
-    b, w = _pt_weights(alpha, n)
-    scale = math.gamma(alpha) * h**alpha / math.gamma(alpha + 2.0)
-    big_b += scale * b * resid[1:]
-    big_w += scale * w * resid[:n]
-    return big_b, big_w
-
-
-@lru_cache(maxsize=32)
-def _kernel_weights(
-    alpha: float, tau: float, h: float, n: int
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    return _spectrum(*_folded_weights(alpha, tau, h, n))
+    weights = _kernel_weights(alpha, math.inf, 1.0, f.grid.n)
+    return Signal(f.grid, f.grid.h**alpha * _pt_apply(weights, f.values))
 
 
 def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
@@ -224,11 +164,9 @@ def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
 
       (1/eta^a) int_0^t (t-s)^(a-1) E[a,a](-((t-s)/tau)^a) f(s) ds,
 
-    by product integration: the leading terms of the kernel series are pure
-    powers of (t-s) and are integrated exactly against the piecewise-linear
-    interpolant of f; the smooth series remainder is folded into the
-    interpolated factor as in rl_integral.  Value at t = 0 is 0; the
-    empirical convergence rate is O(h^(1+a))."""
+    by product integration against the kernel's exact integrals (module
+    docstring).  Value at t = 0 is 0; exact for piecewise-linear f and
+    O(h^2) for smooth f."""
     grid = f.grid
     weights = _kernel_weights(params.alpha, params.tau, grid.h, grid.n)
     return Signal(grid, _pt_apply(weights, f.values) / params.eta**params.alpha)

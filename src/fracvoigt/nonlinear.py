@@ -125,9 +125,9 @@ def apply_T(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> Signal:
     """One application of the fixed-point operator: the linear strain
     response to the stress history sigma(eps(t)).
 
-    For sigma >= 0 the result is nonnegative at every grid point (the
-    kernel is nonnegative by complete monotonicity) wherever the discrete
-    weights are positive too; fracops names the grids where they are not."""
+    For sigma >= 0 the result is nonnegative at every grid point: the
+    kernel is nonnegative by complete monotonicity, and so are the
+    product-integration weights built from its integrals."""
     return ml_kernel_convolve(params, Signal(eps.grid, law.map_values(eps.values)))
 
 

@@ -12,7 +12,9 @@ selector, ``_branch_masks``, splits the arguments over four branches
   axis raises rather than degrades.
 * A stabilized confluent-series reduction for a == 1 and z < 0 (the
   alternating exponential-type series is rewritten so that all terms after
-  factoring e^z are single-signed), exact to rounding for every b > 0.
+  factoring e^z are single-signed), exact to rounding for every b > 0.  An
+  array runs the term recurrence over fixed buffers until every point's
+  sum has stopped.
 * For 0 < a < 1 and z = -x < 0 with u = x^(1/a) < 36, the Bromwich
   integral E[a,b](-x) = 1/(2 pi i) int e^s s^(a-b) / (s^a + x) ds on the
   parabolic contour s = mu (1 + i v)^2, discretized by the trapezoidal rule
@@ -27,8 +29,8 @@ selector, ``_branch_masks``, splits the arguments over four branches
   runs the recurrence env *= rho_k / x, sum += env * c_k.  An array runs
   the same float64 operations row by row, dropping points as they stop.
 
-The zero, contour and asymptotic branches take whole arrays; the series
-and confluent branches run per point inside an array call.
+Every branch but the series takes whole arrays; the series runs per
+point inside an array call.
 
 Reciprocal-gamma coefficients are computed from log-gamma plus the sign
 factor so that poles of Gamma contribute exact zero terms.
@@ -181,16 +183,9 @@ def _series_checked(alpha: float, beta: float, z: float) -> float:
     return value
 
 
-def _confluent_neg(beta: float, x: float) -> float:
-    """E[1,beta](-x) for x >= 0 via the Kummer-transformed series.
-
-    E[1,b](-x) = e^(-x) * M(b-1, b, x) / Gamma(b) with
-    M(b-1, b, x) = 1 + (b-1) * sum_{n>=1} x^n / ((b-1+n) n!),
-    whose summands are single-signed, so the evaluation is cancellation-free
-    for every b > 0 and x in [0, Z_MAX_NEG].
-    """
-    if beta == 1.0:
-        return math.exp(-x)
+def _confluent_sum(beta: float, x: float) -> float:
+    """sum_{n>=1} x^n / ((b-1+n) n!) at one x > 0, stopped at the first
+    term n > x below 1e-17 of the sum."""
     s1 = 0.0
     t = 1.0  # x^n / n!
     n = 0
@@ -200,13 +195,54 @@ def _confluent_neg(beta: float, x: float) -> float:
         term = t / (beta - 1.0 + n)
         s1 += term
         if term <= 1e-17 * s1 and n > x:
-            break
+            return s1
         if n > 2000:  # x <= 100 needs < 400 terms
-            raise AccuracyError(
-                f"confluent series for E[1,{beta}](-{x}) stalled"
-            )
-    m_val = 1.0 + (beta - 1.0) * s1
-    return math.exp(-x) * m_val / math.gamma(beta)
+            raise AccuracyError(f"confluent series for E[1,{beta}](-{x}) stalled")
+
+
+def _confluent_sum_array(beta: float, x: np.ndarray) -> np.ndarray:
+    """_confluent_sum over a 1-d array of x, term by term with the same
+    float64 operations, until every point's stop rule has fired.  Terms
+    after a point's stop fall from 1e-17 of its sum, below half an ulp of
+    it, so adding them leaves the sum _confluent_sum returns."""
+    s1 = np.zeros_like(x)
+    t = np.ones_like(x)  # x^n / n!
+    r = np.empty_like(x)
+    term = np.empty_like(x)
+    done = np.empty(x.shape, dtype=bool)
+    n = 0
+    while True:
+        n += 1
+        np.divide(x, n, out=r)
+        t *= r
+        np.divide(t, beta - 1.0 + n, out=term)
+        s1 += term
+        np.multiply(s1, 1e-17, out=r)
+        np.less_equal(term, r, out=done)
+        done &= x < n
+        if done.all():
+            return s1
+        if n > 2000:  # the scalar sum raises for the first stalled point
+            _confluent_sum(beta, float(x[np.argmin(done)]))
+
+
+def _confluent_neg(beta: float, x):
+    """E[1,beta](-x) for x >= 0 via the Kummer-transformed series, at a
+    float x (float out) or a 1-d array x (array out), equal bit for bit.
+
+    E[1,b](-x) = e^(-x) * M(b-1, b, x) / Gamma(b) with
+    M(b-1, b, x) = 1 + (b-1) * sum_{n>=1} x^n / ((b-1+n) n!),
+    whose summands are single-signed, so the evaluation is cancellation-free
+    for every b > 0 and x in [0, Z_MAX_NEG].
+    """
+    scalar = isinstance(x, float)
+    m_val = 1.0
+    if beta != 1.0:
+        total = _confluent_sum(beta, x) if scalar else _confluent_sum_array(beta, x)
+        m_val = 1.0 + (beta - 1.0) * total
+    # np.exp on both paths: math.exp rounds differently in the last bit
+    value = np.exp(-x) * m_val / math.gamma(beta)
+    return float(value) if scalar else value
 
 
 _LN_PI = math.log(math.pi)
@@ -406,7 +442,7 @@ def _branch_masks(alpha: float, z):
 _BRANCHES = (
     (lambda alpha, beta, z: 1.0 / math.gamma(beta), True),
     (_series_checked, False),
-    (lambda alpha, beta, z: _confluent_neg(beta, -z), False),
+    (lambda alpha, beta, z: _confluent_neg(beta, -z), True),
     (lambda alpha, beta, z: _integral_neg(alpha, beta, -z), True),
     (lambda alpha, beta, z: _asymptotic_neg(alpha, beta, -z)[0], True),
 )

@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .fracops import Signal, ml_kernel_convolve, rl_integral
-from .special import MLParams, ml_eval, ml_one
+from .fracops import Signal, _kernel_integral, ml_kernel_convolve, rl_integral
+from .special import ml_one
 
 __all__ = [
     "VoigtParams",
@@ -126,15 +126,12 @@ def creep_function(params: VoigtParams, t):
 
 def creep_function_alt(params: VoigtParams, t: float) -> float:
     """Equivalent two-parameter form of the creep function,
-    (1/eta^a) t^a E[a, a+1](-(t/tau)^a); kept separate so the series
+    (1/eta^a) t^a E[a, a+1](-(t/tau)^a), the kernel's first integral that
+    the convolution weights are built from; kept separate so the series
     identity between the two forms stays testable."""
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"creep time must be nonnegative, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    a = params.alpha
-    arg = -((t / params.tau) ** a)
-    return (t**a / params.eta**a) * ml_eval(MLParams(a, a + 1.0), arg)
+    return _kernel_integral(params.alpha, params.tau, 1, t) / params.eta**params.alpha
 
 
 def _fixed_point(

@@ -243,6 +243,23 @@ class TestFlagValidation:
         assert capsys.readouterr().err == "error: --n must be at most 8, got 9\n"
         assert run(["creep"] + self.BASE + ["--n", "8"]) == 0
 
+    def test_iteration_cap(self, monkeypatch, capsys):
+        # only the check runs: no solve at a large --max-iter
+        args = argparse.Namespace(tol=1e-8, max_iter=cli.MAX_ITER)
+        assert cli._solver_config(args).max_iter == cli.MAX_ITER
+        args.max_iter = 1_000_000_000
+        with pytest.raises(cli.UsageError, match="^--max-iter must be at most 10000, got"):
+            cli._solver_config(args)
+        # end to end against a small cap, for both solvers: exit 2, naming --max-iter
+        monkeypatch.setattr(cli, "MAX_ITER", 2)
+        picard = ["picard"] + self.BASE + ["--stress-builtin", "ramp", "--n", "16"]
+        solve = ["solve"] + self.BASE + ["--sigma-expr", "1/(1+eps)", "--n", "16"]
+        for cmd in (picard, solve):
+            assert run(cmd + ["--max-iter", "3"]) == 2
+            assert capsys.readouterr().err == "error: --max-iter must be at most 2, got 3\n"
+            assert run(cmd + ["--max-iter", "2"]) in (0, 1)
+            capsys.readouterr()
+
     def test_non_numeric_flag_exits_2(self, capsys):
         assert run(["creep", "--alpha", "abc", "--eta", "1", "--e-mod", "2"]) == 2
 
