@@ -52,8 +52,8 @@ STRESS_BUILTINS = ("zero", "unit-step", "ramp")
 # traced, 150 of RSS at n = 262144 for creep, strain, picard and solve), so
 # the cap bounds one run near 0.6 GB.
 MAX_N = 1 << 22
-# Largest --max-iter: 250 times the most sweeps any seeded law needs (38),
-# so a run that cannot converge stops in seconds, not hours.
+# Largest --max-iter: over 500 times the most sweeps any seeded law needs
+# (17), so a run that cannot converge stops in seconds, not hours.
 MAX_ITER = 10000
 
 

@@ -136,10 +136,13 @@ def _pt_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.
     b, spec = weights
     n = len(b)
     out = np.zeros(n + 1)
-    nonzero = np.flatnonzero(values)
-    if nonzero.size == 0:
-        return out
-    first = max(int(nonzero[0]), 1)
+    if values[0] or values[1]:
+        first = 1
+    else:  # data that start late: scan for the first load
+        nonzero = np.flatnonzero(values)
+        if nonzero.size == 0:
+            return out
+        first = int(nonzero[0])
     tail = np.fft.irfft(np.fft.rfft(values[first:], 2 * n) * spec, 2 * n)
     out[first:] = tail[: n + 1 - first]
     out[1:] += b * values[0]
@@ -169,4 +172,6 @@ def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
     O(h^2) for smooth f."""
     grid = f.grid
     weights = _kernel_weights(params.alpha, params.tau, grid.h, grid.n)
-    return Signal(grid, _pt_apply(weights, f.values) / params.eta**params.alpha)
+    out = _pt_apply(weights, f.values)
+    out /= params.eta**params.alpha
+    return Signal(grid, out)

@@ -5,8 +5,15 @@ The model is solved as a fixed-point problem for the integral operator
     (T eps)(t) = (1/eta^a) int_0^t (t-s)^(a-1)
                  E[a,a](-((t-s)/tau)^a) sigma(eps(s)) ds,
 
-iterated from eps = 0 by plain successive substitution (optionally damped)
-in voigt._fixed_point, the same loop that runs picard_linear.
+iterated from eps = 0 in voigt._fixed_point, the loop that also runs
+picard_linear, with Anderson mixing of depth 3: each iterate combines the
+last image with the differences of the last three images and residuals, so
+slowly contracting laws need about half the sweeps of plain substitution.
+The mixing falls back to the plain step, and forgets its history, when its
+3x3 least-squares system is singular or extrapolates too far, or when the
+law is undefined at a mixed iterate.  The returned solution is always an
+image T(eps) (or its damped form), so at damping 1 it is exactly 0 at t = 0
+and nonnegative for sigma >= 0.
 Existence of a positive bounded solution is guaranteed for continuous,
 convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
 at infinity, but no contraction property comes with it: convergence of the
@@ -65,7 +72,7 @@ class ConstitutiveLaw:
     def __call__(self, eps: float) -> float:
         try:
             value = float(self.fn(eps))
-        except (ArithmeticError, ValueError) as exc:
+        except (ArithmeticError, ValueError, TypeError) as exc:  # float(complex): TypeError
             raise EvaluationError(
                 f"constitutive law ({self.kind}) undefined at eps={eps!r}: {exc}"
             ) from exc
@@ -138,12 +145,14 @@ def solve_nonlinear(
     cfg: SolverConfig | None = None,
     damping: float = 1.0,
 ) -> PicardResult:
-    """Fixed-point iteration eps <- (1-damping) eps + damping * T(eps)
-    starting from eps = 0.
+    """Fixed-point iteration of the step eps -> (1-damping) eps + damping
+    T(eps) from eps = 0, Anderson-mixed (depth 3, see voigt._fixed_point).
 
-    damping = 1 is plain successive substitution; smaller values help
-    non-contractive cases.  Non-convergence is reported, not raised (see
-    voigt._fixed_point).
+    Damping applies to the step that is mixed: damping = 1 mixes the images
+    T(eps) themselves; smaller values help non-contractive cases.  The
+    solution is the last step taken, and the iteration stops when that
+    step moved eps by less than cfg.tol in the sup norm.  Non-convergence
+    is reported, not raised.
     """
     if not (0.0 < damping <= 1.0):
         raise DomainError(f"damping must lie in (0, 1], got {damping!r}")
@@ -154,7 +163,7 @@ def solve_nonlinear(
             return Signal(grid, (1.0 - damping) * eps.values + damping * image.values)
         return image
 
-    return _fixed_point(step, Signal.zeros(grid), cfg or SolverConfig())
+    return _fixed_point(step, Signal.zeros(grid), cfg or SolverConfig(), depth=3)
 
 
 def residual(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> float:

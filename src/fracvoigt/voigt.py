@@ -12,7 +12,8 @@ approximation of the underlying second-kind Volterra equation,
 
 using only the discrete fractional integral.  _fixed_point is the one
 iteration loop of the package: picard_linear and nonlinear.solve_nonlinear
-each supply only their step and starting iterate.
+each supply only their step, their starting iterate and whether the loop
+mixes (solve_nonlinear) or not (picard_linear).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .fracops import Signal, _kernel_integral, ml_kernel_convolve, rl_integral
 from .special import ml_one
 
@@ -78,11 +79,12 @@ class SolverConfig:
 
 @dataclass
 class PicardResult:
-    """Outcome of a successive-approximation run.
+    """Outcome of a fixed-point run (_fixed_point).
 
     converged is equivalent to final_diff < tol of the config that produced
-    the result; diff_history holds the sup-norm difference of consecutive
-    iterates, one entry per iteration, with final_diff its last entry.
+    the result; diff_history holds sup|step(x_k) - x_k|, the sup-norm
+    difference of each iterate and its image, one entry per iteration,
+    with final_diff its last entry; solution is the last image.
     """
 
     solution: Signal
@@ -134,27 +136,89 @@ def creep_function_alt(params: VoigtParams, t: float) -> float:
     return _kernel_integral(params.alpha, params.tau, 1, t) / params.eta**params.alpha
 
 
-def _fixed_point(
-    step: Callable[[Signal], Signal], start: Signal, cfg: SolverConfig
-) -> PicardResult:
-    """Successive approximation x_k = step(x_{k-1}) from x_0 = start: the
-    one iteration loop behind picard_linear and solve_nonlinear.
+# Largest sum |gamma| of a mixed step.  A larger one extrapolates far past
+# the last few iterates, where the secant model behind the mixing no longer
+# holds (Toth & Kelley 2015 assume the coefficients bounded); the loop takes
+# the plain step there.  Values from 2 to 4 gave the same sweep counts.
+_MIX_BOUND = 3.0
 
-    Stops when the sup-norm difference of consecutive iterates drops below
-    cfg.tol; non-convergence within cfg.max_iter is reported on the result,
-    not raised.
+
+def _fixed_point(
+    step: Callable[[Signal], Signal],
+    start: Signal,
+    cfg: SolverConfig,
+    depth: int = 0,
+) -> PicardResult:
+    """Fixed-point iteration of step from x_0 = start: the one iteration
+    loop behind picard_linear and solve_nonlinear.
+
+    depth = 0 is successive approximation, x_(k+1) = step(x_k).  depth > 0
+    is Anderson mixing of type II over the last depth differences (Walker &
+    Ni 2011): with f_k = step(x_k) - x_k and Delta F, Delta G the
+    differences of consecutive residuals and images,
+
+        x_(k+1) = step(x_k) - gamma . Delta G,
+        (Delta F Delta F^T) gamma = Delta F f_k.
+
+    Delta F and Delta G sit in preallocated (depth, n+1) buffers, and the
+    Gram matrix takes one new row of dot products per iteration.  Three
+    safeguards take the plain step instead and clear the history: a
+    singular Gram system; a gamma that is not finite or has sum |gamma|
+    above _MIX_BOUND; and a step that raises EvaluationError at a mixed
+    iterate (the law is undefined there), which is retried from the image
+    that iterate was mixed from.  picard_linear stays plain (depth 0): its
+    iterates are then the partial sums of the Neumann series, which
+    acceptance criterion 06 and its tests check term by term.
+
+    Each diff_history entry is sup|step(x_k) - x_k|; the loop stops at the
+    first below cfg.tol and returns that last image step(x_k).
+    Non-convergence within cfg.max_iter is reported on the result, not
+    raised.
     """
-    prev = start
+    grid = start.grid
+    d_f = np.empty((depth, grid.n + 1))
+    d_g = np.empty((depth, grid.n + 1))
+    gram = np.empty((depth, depth))
+    held = slot = 0  # rows of d_f, d_g (and gram) in use; the row written next
+    last = None  # residual and image of the previous step
+    x, fallback = start, None  # fallback: the image x was mixed from
     history: list[float] = []
     for _ in range(cfg.max_iter):  # at least once: SolverConfig checks max_iter >= 1
-        cur = step(prev)
-        diff = float(np.max(np.abs(cur.values - prev.values)))
+        try:
+            image = step(x)
+        except EvaluationError:
+            if fallback is None:
+                raise
+            x, held, slot = fallback, 0, 0
+            image = step(x)
+        res = image.values - x.values
+        diff = float(np.max(np.abs(res)))
         history.append(diff)
-        prev = cur
         if diff < cfg.tol:
             break
+        x, fallback = image, None
+        if depth == 0:
+            continue
+        if last is not None:
+            np.subtract(res, last[0], out=d_f[slot])
+            np.subtract(image.values, last[1], out=d_g[slot])
+            held = min(held + 1, depth)
+            row = d_f[:held] @ d_f[slot]
+            gram[slot, :held] = row
+            gram[:held, slot] = row
+            slot = (slot + 1) % depth
+        last = res, image.values
+        if held:
+            try:
+                gamma = np.linalg.solve(gram[:held, :held], d_f[:held] @ res)
+            except np.linalg.LinAlgError:
+                gamma = None
+            if gamma is not None and np.abs(gamma).sum() <= _MIX_BOUND:  # False for nan
+                x, fallback = Signal(grid, image.values - gamma @ d_g[:held]), image
+            else:
+                held = slot = 0
     return PicardResult(
-        solution=prev,
+        solution=image,
         iterations=len(history),
         final_diff=diff,
         converged=diff < cfg.tol,

@@ -1,5 +1,6 @@
 """Nonlinear model: fixed-point operator, solver, residual, hypothesis probe."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from fracvoigt.nonlinear import (
     residual,
     solve_nonlinear,
 )
-from fracvoigt.voigt import SolverConfig, VoigtParams, linear_strain
+from fracvoigt.voigt import SolverConfig, VoigtParams, _fixed_point, linear_strain
 
 from oracles import rk4_solve
 
@@ -50,6 +51,14 @@ class TestConstitutiveLaw:
         law = ConstitutiveLaw.from_callable(lambda e: 1.0 / e, "reciprocal")
         with pytest.raises(EvaluationError):
             law(0.0)
+
+    def test_complex_result_raises(self):
+        # a negative base to a fractional power is complex in Python
+        law = ConstitutiveLaw.from_callable(lambda e: (e + 0.01) ** -0.5, "power")
+        with pytest.raises(EvaluationError):
+            law(-0.1)
+        with pytest.raises(EvaluationError):
+            law.map_values(np.array([0.0, -0.1]))
 
 
 class TestApplyT:
@@ -166,6 +175,121 @@ class TestSolveNonlinear:
             lambda t, y: -2.0 * y + 1.0 / (1.0 + y), 0.0, g.points, substeps=20
         )
         assert np.max(np.abs(res.solution.values - np.array(ref))) < 1e-3
+
+
+def plain_solve(params, law, grid, cfg, damping=1.0):
+    """solve_nonlinear's iteration without mixing: the reference the
+    Anderson-mixed solve is held to."""
+
+    def step(eps):
+        image = apply_T(params, law, eps)
+        if damping < 1.0:
+            return Signal(grid, (1.0 - damping) * eps.values + damping * image.values)
+        return image
+
+    return _fixed_point(step, Signal.zeros(grid), cfg)
+
+
+def assert_loop_contract(res, cfg):
+    assert res.iterations == len(res.diff_history)
+    assert res.final_diff == res.diff_history[-1]
+    assert res.converged == (res.final_diff < cfg.tol)
+
+
+class TestAndersonMixing:
+    def test_law_undefined_at_a_mixed_iterate(self):
+        # sigma = 1/sqrt(eps + 0.01) is undefined below eps = -0.01; the
+        # images stay >= 0, but the second mixed iterate dips to about -0.1
+        raised = []
+
+        def fn(e):
+            try:
+                return 1.0 / math.sqrt(e + 0.01)
+            except ValueError:
+                raised.append(e)
+                raise
+
+        law = ConstitutiveLaw.from_callable(fn, "singular")
+        g = Grid(1.0, 128)
+        cfg = SolverConfig(tol=1e-8, max_iter=200)
+        res = solve_nonlinear(EXAMPLE_PARAMS, law, g, cfg)
+        assert raised  # the fallback ran
+        assert res.converged
+        assert_loop_contract(res, cfg)
+        ref = plain_solve(EXAMPLE_PARAMS, law, g, cfg)
+        assert np.max(np.abs(res.solution.values - ref.solution.values)) <= 10.0 * cfg.tol
+
+    def test_constant_law(self):
+        g = Grid(1.0, 256)
+        law = ConstitutiveLaw.from_expression("2")
+        cfg = SolverConfig(tol=1e-12, max_iter=50)
+        for damping in (1.0, 0.7):
+            res = solve_nonlinear(EXAMPLE_PARAMS, law, g, cfg, damping)
+            assert res.converged
+            assert_loop_contract(res, cfg)
+            assert residual(EXAMPLE_PARAMS, law, res.solution) <= 10.0 * cfg.tol
+
+    def test_singular_gram_takes_the_plain_step(self):
+        # a step that drifts by 1 everywhere: every residual is the same,
+        # so each Delta F is 0 and the Gram matrix is singular
+        g = Grid(1.0, 8)
+        cfg = SolverConfig(tol=1e-8, max_iter=6)
+        res = _fixed_point(lambda x: Signal(g, x.values + 1.0), Signal.zeros(g), cfg, depth=3)
+        assert res.diff_history == [1.0] * 6
+        np.testing.assert_array_equal(res.solution.values, np.full(9, 6.0))
+        assert_loop_contract(res, cfg)
+
+    @pytest.mark.parametrize("damping", [1.0, 0.7])
+    def test_first_step_is_plain(self, damping):
+        g = Grid(1.0, 256)
+        cfg = SolverConfig(max_iter=1)
+        res = solve_nonlinear(EXAMPLE_PARAMS, INV_LINEAR, g, cfg, damping)
+        image = damping * apply_T(EXAMPLE_PARAMS, INV_LINEAR, Signal.zeros(g)).values
+        assert res.solution.values.tobytes() == image.tobytes()
+        assert res.diff_history == [float(np.max(np.abs(image)))]
+        assert_loop_contract(res, cfg)
+
+
+# the laws and (t_end, alpha) windows the mixing was tuned on: the three
+# families of the long-solve benchmark at both ends of its range, a law
+# with a steep singularity near 0 and two slowly contracting ones
+SWEEP_LAWS = [
+    f"{c}{form}"
+    for form in ("/(1+eps)", "*exp(-eps)", "/sqrt(1+eps)")
+    for c in ("0.5", "2.5")
+] + ["1/(eps+0.01)^0.5", "exp(-eps^2)+0.1", "1/(1+eps)^3"]
+SWEEP_WINDOWS = [(1.0, 0.5), (20.0, 0.5), (5.0, 0.3), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.7])
+@pytest.mark.parametrize("t_end,alpha", SWEEP_WINDOWS)
+@pytest.mark.parametrize("src", SWEEP_LAWS)
+def test_mixing_saves_sweeps(src, t_end, alpha, damping):
+    params = VoigtParams(eta=1.0, e_mod=2.0, alpha=alpha)
+    law = ConstitutiveLaw.from_expression(src)
+    g = Grid(t_end, 512)
+    cfg = SolverConfig(tol=1e-8, max_iter=200)
+    mixed = solve_nonlinear(params, law, g, cfg, damping)
+    plain = plain_solve(params, law, g, cfg, damping)
+    assert mixed.converged and plain.converged
+    # damped steps contract fast already; there the mixing may cost one
+    assert mixed.iterations <= plain.iterations + (damping < 1.0)
+    gap = np.max(np.abs(mixed.solution.values - plain.solution.values))
+    assert gap <= 10.0 * cfg.tol
+    assert residual(params, law, mixed.solution) <= 10.0 * cfg.tol
+
+
+def test_mixing_halves_the_sweeps():
+    # over the same grid at damping 1: 651 plain sweeps, 343 mixed
+    plain = mixed = 0
+    cfg = SolverConfig(tol=1e-8, max_iter=200)
+    for (t_end, alpha), src in itertools.product(SWEEP_WINDOWS, SWEEP_LAWS):
+        params = VoigtParams(eta=1.0, e_mod=2.0, alpha=alpha)
+        law = ConstitutiveLaw.from_expression(src)
+        g = Grid(t_end, 512)
+        plain += plain_solve(params, law, g, cfg).iterations
+        mixed += solve_nonlinear(params, law, g, cfg).iterations
+    assert mixed <= 0.6 * plain
 
 
 class TestResidual:
