@@ -58,7 +58,7 @@ _PAIRS_PER_CALL = 1 << 20
 
 @dataclass(frozen=True)
 class ConstitutiveLaw:
-    """A stress-strain law sigma(eps), total and finite on [0, bound].
+    """A stress-strain law sigma(eps), total and finite for eps >= 0.
 
     on_arrays marks an fn that also maps a whole array of strains
     elementwise (expression and table laws); other callables are applied
@@ -66,7 +66,6 @@ class ConstitutiveLaw:
 
     kind: str
     fn: Callable[[float], float]
-    bound: float = math.inf
     on_arrays: bool = False
 
     def __call__(self, eps: float) -> float:
@@ -119,7 +118,6 @@ class ConstitutiveLaw:
         return cls(
             kind="table",
             fn=lambda e: np.interp(e, s, v),
-            bound=float(s[-1]),
             on_arrays=True,
         )
 

@@ -126,13 +126,13 @@ def creep_function(params: VoigtParams, t):
     return (tau / params.eta) ** a * (1.0 - ml_one(a, -((t / tau) ** a)))
 
 
-def creep_function_alt(params: VoigtParams, t: float) -> float:
+def creep_function_alt(params: VoigtParams, t):
     """Equivalent two-parameter form of the creep function,
     (1/eta^a) t^a E[a, a+1](-(t/tau)^a), the kernel's first integral that
-    the convolution weights are built from; kept separate so the series
-    identity between the two forms stays testable."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise DomainError(f"creep time must be nonnegative, got {t!r}")
+    the convolution weights are built from, at a time or an array of times;
+    kept separate so the series identity between the two forms stays
+    testable."""
+    t = _creep_times(t)
     return _kernel_integral(params.alpha, params.tau, 1, t) / params.eta**params.alpha
 
 

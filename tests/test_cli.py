@@ -360,8 +360,8 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_creep_body_identical_in_fresh_process(self, tmp_path):
-        # t/tau reaches 60, so the table crosses the contour/asymptotic
-        # switch; a fresh interpreter starts with an empty node cache
+        # t/tau reaches 60, so the table runs the contour rule out to
+        # z = -60^0.7; a fresh interpreter starts with an empty node cache
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = [
             "creep", "--alpha", "0.7", "--eta", "1", "--e-mod", "2",

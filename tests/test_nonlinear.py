@@ -39,7 +39,6 @@ class TestConstitutiveLaw:
         law = ConstitutiveLaw.from_table([0.0, 1.0, 2.0], [1.0, 0.5, 0.4])
         assert law(0.5) == pytest.approx(0.75)
         assert law(5.0) == 0.4  # constant extrapolation
-        assert law.bound == 2.0
 
     def test_table_validation(self):
         with pytest.raises(DomainError):

@@ -6,9 +6,11 @@ array Mittag-Leffler and creep calls agreeing with their scalar calls."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracvoigt.errors import AccuracyError
 from fracvoigt.fracops import Grid, Signal
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T
 from fracvoigt.special import MLParams, ml_eval
@@ -149,24 +151,47 @@ def test_picard_approaches_linear_strain(alpha, eta, e_mod, ratio, ramp):
 
 @st.composite
 def negative_axis_cases(draw):
-    """(alpha, beta, x) with points x in [0, 100] (z = -x), weighted toward
-    the asymptotic side x^(1/alpha) >= 36 of the contour rule (three of
-    five choices, one more on the boundary itself); alpha = 1, the
-    confluent branch, in one case of five."""
+    """(alpha, beta, x) with points x in [0, 100] (z = -x), the contour
+    rule's whole range; alpha = 1, the confluent branch, in one case of
+    five."""
     alpha = 1.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.02, 0.999))
     beta = draw(st.floats(0.05, 8.0))
-    x_asym = 36.0**alpha
-    asym = st.floats(x_asym, 100.0)
-    point = st.one_of(asym, asym, asym, st.floats(0.0, x_asym), st.just(x_asym))
+    point = st.floats(0.0, 100.0)
+    return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
+
+
+@st.composite
+def real_axis_cases(draw):
+    """(alpha, beta, z): a negative-axis case, or, one case in three each,
+    points z in (0, 5] at 0 < alpha <= 2 or points z in [-100, 5] at
+    1 <= alpha <= 2, where the series runs per point and may raise."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        alpha, beta, x = draw(negative_axis_cases())
+        return alpha, beta, -x
+    beta = draw(st.floats(0.05, 8.0))
+    if kind == 1:
+        alpha = draw(st.floats(0.02, 2.0))
+        point = st.floats(0.0, 5.0, exclude_min=True)
+    else:
+        alpha = draw(st.floats(1.0, 2.0))
+        point = st.floats(-100.0, 5.0)
     return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(negative_axis_cases())
+@given(real_axis_cases())
 def test_ml_eval_array_equals_scalar_loop(case):
-    alpha, beta, x = case
+    alpha, beta, z = case
     p = MLParams(alpha, beta)
-    assert ml_eval(p, -x).tolist() == [ml_eval(p, -float(v)) for v in x]
+    try:
+        expected = [ml_eval(p, float(v)) for v in z]
+    except AccuracyError as exc:  # the array call names the same point
+        with pytest.raises(AccuracyError) as info:
+            ml_eval(p, z)
+        assert str(info.value) == str(exc)
+        return
+    assert ml_eval(p, z).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)

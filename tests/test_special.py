@@ -8,13 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracvoigt import special
 from fracvoigt.errors import AccuracyError, DomainError
 from fracvoigt.special import (
     MLParams,
     Z_MAX_NEG,
     Z_MAX_POS,
-    _asymptotic_neg,
     _branch_masks,
     _confluent_neg,
     _integral_neg,
@@ -84,6 +82,58 @@ ORACLE_POINTS = [
     (0.999, 15.0, -34.87578376466986, 3.328457780679206e-12),
     (0.5, 60.0, -1.7320508075688772, 5.890059417391121e-81),
     (0.5, 1000000.0, -1.7320508075688772, 0.0),
+    # the contour rule's far range: x = 1.1 * 36^alpha and x = 100 for the
+    # model's orders beta in {alpha, 1, alpha+1, alpha+2} and beta = 10
+    (0.02, 0.02, -1.1817312905429407, 0.004198222718977402),
+    (0.02, 0.02, -100.0, 1.9379230986123665e-06),
+    (0.02, 1.0, -1.1817312905429407, 0.45548006633941435),
+    (0.02, 1.0, -100.0, 0.009785304087314385),
+    (0.02, 1.02, -1.1817312905429407, 0.46078151439182813),
+    (0.02, 1.02, -100.0, 0.009902146959126857),
+    (0.02, 2.02, -1.1817312905429407, 0.4565766385878559),
+    (0.02, 2.02, -100.0, 0.009900170291802263),
+    (0.02, 10.0, -1.1817312905429407, 1.2939567611360572e-06),
+    (0.02, 10.0, -100.0, 2.8527727615528928e-08),
+    (0.05, 0.05, -1.315854318736447, 0.009293340238194146),
+    (0.05, 0.05, -100.0, 4.755282614224688e-06),
+    (0.05, 1.0, -1.315854318736447, 0.42466956762042946),
+    (0.05, 1.0, -100.0, 0.009602370766950943),
+    (0.05, 1.05, -1.315854318736447, 0.43722958095546116),
+    (0.05, 1.05, -100.0, 0.00990397629233049),
+    (0.05, 2.05, -1.315854318736447, 0.4278772543804125),
+    (0.05, 2.05, -100.0, 0.009898976040431865),
+    (0.05, 10.0, -1.315854318736447, 1.266564545192606e-06),
+    (0.05, 10.0, -100.0, 3.0496103504586566e-08),
+    (0.3, 0.3, -3.2231716567418736, 0.015349290836534685),
+    (0.3, 0.3, -100.0, 2.284196721428951e-05),
+    (0.3, 1.0, -3.2231716567418736, 0.1996999977651373),
+    (0.3, 1.0, -100.0, 0.007658856222286642),
+    (0.3, 1.3, -3.2231716567418736, 0.2482958053322676),
+    (0.3, 1.3, -100.0, 0.009923411437777134),
+    (0.3, 2.3, -3.2231716567418736, 0.23026612336399213),
+    (0.3, 2.3, -100.0, 0.009891061893907259),
+    (0.3, 10.0, -3.2231716567418736, 1.0430108153802043e-06),
+    (0.3, 10.0, -100.0, 5.28694568722371e-08),
+    (0.7, 0.7, -13.514638573122847, 0.0014373319111114556),
+    (0.7, 0.7, -100.0, 2.377720552356958e-05),
+    (0.7, 1.0, -13.514638573122847, 0.026234502903495653),
+    (0.7, 1.0, -100.0, 0.003369687416305994),
+    (0.7, 1.7, -13.514638573122847, 0.07205264808435753),
+    (0.7, 1.7, -100.0, 0.00996630312583694),
+    (0.7, 2.7, -13.514638573122847, 0.06816764998019664),
+    (0.7, 2.7, -100.0, 0.009889248172042819),
+    (0.7, 10.0, -13.514638573122847, 7.197312589716137e-07),
+    (0.7, 10.0, -100.0, 1.242599517650026e-07),
+    (0.999, 0.999, -39.458346610427334, 7.155823623626357e-07),
+    (0.999, 0.999, -100.0, 1.0413970381449236e-07),
+    (0.999, 1.0, -39.458346610427334, 2.6749972931893817e-05),
+    (0.999, 1.0, -100.0, 1.0211830300787628e-05),
+    (0.999, 1.999, -39.458346610427334, 0.02534250256098702),
+    (0.999, 1.999, -100.0, 0.009999897881696992),
+    (0.999, 2.999, -39.458346610427334, 0.024700567302565177),
+    (0.999, 2.999, -100.0, 0.009899944377119094),
+    (0.999, 10.0, -39.458346610427334, 5.197420005753621e-07),
+    (0.999, 10.0, -100.0, 2.2902638839235853e-07),
 ]
 
 
@@ -203,9 +253,8 @@ class TestInvariants:
 
 
 # (alpha, beta, z values); the z values cross every branch: for alpha < 1
-# the negative axis on both sides of |z|^(1/alpha) = 36 (contour rule and
-# asymptotic expansion), z = 0, z > 0, and the confluent (alpha = 1) and
-# series-only (alpha > 1) cases
+# the negative axis from near 0 to the cap -100 (contour rule), z = 0,
+# z > 0, and the confluent (alpha = 1) and series-only (alpha > 1) cases
 _BRANCH_CROSSING = [
     (0.5, 0.5, [-100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
     (0.3, 1.3, [-50.0, -3.0, -2.9, -0.5, 0.0, 0.7]),
@@ -217,7 +266,7 @@ _BRANCH_CROSSING = [
 
 class TestArrayEvaluation:
     def test_cases_cross_every_branch(self):
-        hit = np.zeros(5, dtype=bool)
+        hit = np.zeros(4, dtype=bool)
         for alpha, _, zs in _BRANCH_CROSSING:
             masks = _branch_masks(alpha, np.array(zs))
             assert np.array_equal(np.sum(masks, axis=0), np.ones(len(zs)))
@@ -308,26 +357,6 @@ class TestScalarFastPath:
             ml_one(float("nan"), -1.0)
 
 
-@pytest.fixture
-def short_asym_table(monkeypatch):
-    """Asymptotic tables cut at five rows, so mid-range x stall."""
-    monkeypatch.setattr(special, "_ASYM_MAX_TERMS", 5)
-    special._asym_table.cache_clear()
-    yield
-    special._asym_table.cache_clear()
-
-
-def test_array_stall_raises_the_scalar_message(short_asym_table):
-    p = MLParams(0.5, 1.0)
-    assert ml_eval(p, -100.0) == pytest.approx(0.005641613782989433, rel=1e-9)
-    with pytest.raises(AccuracyError) as scalar:
-        ml_eval(p, -40.0)
-    assert "stalls" in str(scalar.value)
-    with pytest.raises(AccuracyError) as array:
-        ml_eval(p, np.array([-1.0, -100.0, -40.0, -0.5, -39.0]))
-    assert str(array.value) == str(scalar.value)
-
-
 class TestBranchConsistency:
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.75, 1.2), (0.9, 0.9)])
     def test_series_vs_integral(self, alpha, beta):
@@ -337,14 +366,6 @@ class TestBranchConsistency:
         assert cancel <= 1e-9
         val_i = _integral_neg(alpha, beta, x)
         assert abs(val_s - val_i) <= 1e-8 * max(1.0, abs(val_s))
-
-    @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.75, 1.2), (0.9, 0.9)])
-    def test_integral_vs_asymptotic(self, alpha, beta):
-        x = 1.1 * 36.0**alpha
-        val_i = _integral_neg(alpha, beta, x)
-        val_a, est = _asymptotic_neg(alpha, beta, x)
-        assert est <= 1e-10
-        assert abs(val_i - val_a) <= 1e-8 * max(1.0, abs(val_i))
 
     def test_confluent_vs_series(self):
         # alpha = 1 stabilized form against the raw series where it is safe

@@ -102,8 +102,8 @@ class TestCreepFunction:
             creep_function_alt(p, -0.1)
 
     def test_array_times_match_scalar_calls(self):
-        # t/tau reaches 80, so the table crosses from the contour rule to the
-        # asymptotic expansion at t/tau = 36
+        # t/tau reaches 80, so the table runs the contour rule from z = 0
+        # out to z = -sqrt(80)
         p = VoigtParams(1.0, 2.0, 0.5)
         t = np.linspace(0.0, 40.0, 201)
         got = creep_function(p, t)
@@ -120,6 +120,20 @@ class TestCreepFunction:
             creep_function(p, np.array([0.0, 1.0, -0.5]))
         with pytest.raises(DomainError):
             creep_function(p, np.array([0.0, float("nan")]))
+
+    def test_alt_form_shares_the_time_validation(self):
+        p = VoigtParams(1.0, 2.0, 0.5)
+        t = np.linspace(0.0, 40.0, 81)
+        got = creep_function_alt(p, t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        expected = [creep_function_alt(p, float(x)) for x in t]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+        for bad in (-0.1, float("inf"), np.array([0.0, 1.0, -0.5])):
+            with pytest.raises(DomainError) as main:
+                creep_function(p, bad)
+            with pytest.raises(DomainError) as alt:
+                creep_function_alt(p, bad)
+            assert str(alt.value) == str(main.value)
 
     @pytest.mark.parametrize("eta,e_mod", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)])
     def test_classical_reduction(self, eta, e_mod):
