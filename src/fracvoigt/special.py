@@ -4,18 +4,13 @@
 scalar or array z to an absolute-or-relative accuracy of 1e-10 on the
 supported domain (-Z_MAX_NEG <= z <= Z_MAX_POS).  A scalar in gives a float
 out; an array in gives an array of the same shape out.  One boolean-mask
-selector, ``_branch_masks``, splits the arguments over four branches
-(z = 0 gives 1/Gamma(b) exactly):
+selector, ``_branch_masks``, splits the arguments over three branches:
 
+* z = 0 gives 1/Gamma(b) exactly.
 * Taylor series with term-ratio truncation for z > 0, where the terms are
   single-signed, and for 1 < a <= 2, where a cancelled sum on the negative
   axis raises rather than degrades.
-* A stabilized confluent-series reduction for a == 1 and z < 0 (the
-  alternating exponential-type series is rewritten so that all terms after
-  factoring e^z are single-signed), exact to rounding for every b > 0.  An
-  array runs the term recurrence over fixed buffers until every point's
-  sum has stopped.
-* For 0 < a < 1 and every z = -x in [-Z_MAX_NEG, 0), the Bromwich
+* For 0 < a <= 1 and every z = -x in [-Z_MAX_NEG, 0), the Bromwich
   integral E[a,b](-x) = 1/(2 pi i) int e^s s^(a-b) / (s^a + x) ds on the
   parabolic contour s = mu (1 + i v)^2, discretized by the trapezoidal rule
   in v with fixed nodes (Weideman & Trefethen, Math. Comp. 76 (2007);
@@ -23,6 +18,7 @@ selector, ``_branch_masks``, splits the arguments over four branches
   e^s s^(a-b) ds/dv do not depend on x, so they are built once per (a, b)
   and every x is then a short weighted sum of 1/(s^a + x).  Its error
   does not grow with x: see _CONTOUR_N for the validated range.
+  E[1,1](-x) is e^(-x).
 
 Every branch but the series takes whole arrays; the series runs per
 point inside an array call.
@@ -54,10 +50,12 @@ _EPS = 2.22e-16
 # cut of s^a mapped to Im v = 1, the discretization error is ~e^(-2 pi/h),
 # the truncation error ~e^(mu (1 - (N h)^2)) and the rounding ~eps e^mu.
 # The validated range is the whole negative axis down to the cap, x <= 100,
-# for every 0 < a < 1.  Against adaptive mpmath quadrature the worst
+# for every 0 < a <= 1.  Against adaptive mpmath quadrature the worst
 # absolute-or-relative error is 1.5e-13 over 300 random points with
 # 0.001 <= a < 1, 0.01 <= b <= 10 and 0 < x <= 100 (at b = 6.9 near
-# x = 0), and 1.6e-14 for a <= 0.01 at x in {1.5, 10, 100}.  A small mu
+# x = 0), and 1.6e-14 for a <= 0.01 at x in {1.5, 10, 100}; at a = 1
+# against mpmath's e^(-x) 1F1(b-1; b; x) / Gamma(b) it is 1.5e-13 over 680
+# points with 0.01 <= b <= 1e6 (again at b = 6.9 near x = 0).  A small mu
 # keeps the rounding noise of the h = 1e-3 third differences in the
 # complete-monotonicity probe near 6e-7 (it was 5e-6 at N = 18, mu = 5).  For b > _CONTOUR_MU the parabola
 # crosses the real axis at b instead, the saddle of e^s s^-b; at mu = 3.25
@@ -96,8 +94,6 @@ def _series(alpha: float, beta: float, z: float) -> tuple[float, float]:
     rounding of the largest term; for single-signed series it is a vast
     overestimate of the true error but still usable as an accept gate.
     """
-    if z == 0.0:
-        return 1.0 / math.gamma(beta), 0.0
     ln_abs_z = math.log(abs(z))
     negative = z < 0.0
     terms = []
@@ -159,68 +155,6 @@ def _series_checked(alpha: float, beta: float, z: float) -> float:
     return value
 
 
-def _confluent_sum(beta: float, x: float) -> float:
-    """sum_{n>=1} x^n / ((b-1+n) n!) at one x > 0, stopped at the first
-    term n > x below 1e-17 of the sum."""
-    s1 = 0.0
-    t = 1.0  # x^n / n!
-    n = 0
-    while True:
-        n += 1
-        t *= x / n
-        term = t / (beta - 1.0 + n)
-        s1 += term
-        if term <= 1e-17 * s1 and n > x:
-            return s1
-        if n > 2000:  # x <= 100 needs < 400 terms
-            raise AccuracyError(f"confluent series for E[1,{beta}](-{x}) stalled")
-
-
-def _confluent_sum_array(beta: float, x: np.ndarray) -> np.ndarray:
-    """_confluent_sum over a 1-d array of x, term by term with the same
-    float64 operations, until every point's stop rule has fired.  Terms
-    after a point's stop fall from 1e-17 of its sum, below half an ulp of
-    it, so adding them leaves the sum _confluent_sum returns."""
-    s1 = np.zeros_like(x)
-    t = np.ones_like(x)  # x^n / n!
-    r = np.empty_like(x)
-    term = np.empty_like(x)
-    done = np.empty(x.shape, dtype=bool)
-    n = 0
-    while True:
-        n += 1
-        np.divide(x, n, out=r)
-        t *= r
-        np.divide(t, beta - 1.0 + n, out=term)
-        s1 += term
-        np.multiply(s1, 1e-17, out=r)
-        np.less_equal(term, r, out=done)
-        done &= x < n
-        if done.all():
-            return s1
-        if n > 2000:  # the scalar sum raises for the first stalled point
-            _confluent_sum(beta, float(x[np.argmin(done)]))
-
-
-def _confluent_neg(beta: float, x):
-    """E[1,beta](-x) for x >= 0 via the Kummer-transformed series, at a
-    float x (float out) or a 1-d array x (array out), equal bit for bit.
-
-    E[1,b](-x) = e^(-x) * M(b-1, b, x) / Gamma(b) with
-    M(b-1, b, x) = 1 + (b-1) * sum_{n>=1} x^n / ((b-1+n) n!),
-    whose summands are single-signed, so the evaluation is cancellation-free
-    for every b > 0 and x in [0, Z_MAX_NEG].
-    """
-    scalar = isinstance(x, float)
-    m_val = 1.0
-    if beta != 1.0:
-        total = _confluent_sum(beta, x) if scalar else _confluent_sum_array(beta, x)
-        m_val = 1.0 + (beta - 1.0) * total
-    # np.exp on both paths: math.exp rounds differently in the last bit
-    value = np.exp(-x) * m_val / math.gamma(beta)
-    return float(value) if scalar else value
-
-
 @lru_cache(maxsize=256)
 def _contour_nodes(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
     """Per node of the upper half of the parabola, the tuple
@@ -238,18 +172,24 @@ def _contour_nodes(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
 
 
 def _integral_neg(alpha: float, beta: float, x):
-    """E[a,b](-x) for 0 < a < 1 by the fixed-node rule on the parabolic
+    """E[a,b](-x) for 0 < a <= 1 by the fixed-node rule on the parabolic
     Bromwich contour, E[a,b](-x) = Im sum_k g_k / (s_k^a + x).
 
-    x is a float or an array; either way every point sees the same float64
-    operations in the same order, so both give bit-identical values.  The
-    contour passes right of every singularity of s^(a-b) / (s^a + x) and
-    through the saddle of e^s s^-b once b > _CONTOUR_MU, so orders b > 1
-    need no reduction (test_special checks b up to 1e6 against mpmath).
-    For a < 1, s^a + x has no zero on the principal sheet, and a larger x
-    only flattens the integrand, so the error does not grow with x: it
-    stays below 3e-15 out to x = 1e8, past the cap Z_MAX_NEG.
+    x is a float (float out) or an array; either way every point sees the
+    same float64 operations in the same order, so both give bit-identical
+    values.  The contour passes right of every singularity of
+    s^(a-b) / (s^a + x) and through the saddle of e^s s^-b once
+    b > _CONTOUR_MU, so orders b > 1 need no reduction (test_special checks
+    b up to 1e6 against mpmath).  For a < 1, s^a + x has no zero on the
+    principal sheet; at a = 1 its zero s = -x maps to v = +-sqrt(x/mu) + i,
+    on the line Im v = 1 of the branch point, so the error bound is the
+    same.  A larger x only flattens the integrand, so the error does not
+    grow with x: it stays below 1e-14 out to x = 1e8, past the cap
+    Z_MAX_NEG.  E[1,1](-x) is e^(-x), exactly as np.exp rounds it.
     """
+    if alpha == 1.0 and beta == 1.0:
+        value = np.exp(-x)  # np.exp on both paths: math.exp rounds differently
+        return float(value) if isinstance(x, float) else value
     total = 0.0
     for p, q, gr, gi in _contour_nodes(alpha, beta):
         d = x + p  # Re(s^a + x)
@@ -257,25 +197,31 @@ def _integral_neg(alpha: float, beta: float, x):
     return total
 
 
+def _recip_gamma(beta: float) -> float:
+    """1/Gamma(beta).  Where math.gamma overflows (beta > 171.6, or beta
+    below 6e-309) the value is subnormal or zero, and exp(-lgamma) gives
+    it."""
+    try:
+        return 1.0 / math.gamma(beta)
+    except OverflowError:
+        return math.exp(-lgamma(beta))
+
+
 def _branch_masks(alpha: float, z):
-    """Masks (zero, series, confluent, contour) over z, a float (masks are
-    bools) or a float array (boolean arrays); every point lies in exactly
-    one of them, and each alpha has at most one branch for z < 0."""
+    """Masks (zero, series, contour) over z, a float (masks are bools) or a
+    float array (boolean arrays); every point lies in exactly one of them,
+    and each alpha has at most one branch for z < 0."""
     zero = z == 0.0
-    none = z != z  # z is finite
     if alpha > 1.0:
-        return zero, z != 0.0, none, none
-    if alpha == 1.0:
-        return zero, z > 0.0, z < 0.0, none
-    return zero, z > 0.0, none, z < 0.0
+        return zero, z != 0.0, z != z  # z is finite: no contour point
+    return zero, z > 0.0, z < 0.0
 
 
 # one (evaluator, takes arrays) pair per mask of _branch_masks; evaluators
 # map (alpha, beta, z) to E[alpha,beta](z)
 _BRANCHES = (
-    (lambda alpha, beta, z: 1.0 / math.gamma(beta), True),
+    (lambda alpha, beta, z: _recip_gamma(beta), True),
     (_series_checked, False),
-    (lambda alpha, beta, z: _confluent_neg(beta, -z), True),
     (lambda alpha, beta, z: _integral_neg(alpha, beta, -z), True),
 )
 
@@ -322,7 +268,7 @@ def ml_eval(p: MLParams, z):
         if not -Z_MAX_NEG <= z <= Z_MAX_POS:  # also NaN
             _check_domain(z, z)
         alpha = p.alpha
-        if z < 0.0 and alpha < 1.0:  # the masks' contour branch
+        if z < 0.0 and alpha <= 1.0:  # the masks' contour branch
             return _integral_neg(alpha, p.beta, -z)
         evaluate, _ = _BRANCHES[_branch_masks(alpha, z).index(True)]
         return evaluate(alpha, p.beta, z)
@@ -365,8 +311,8 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
         raise DomainError(f"difference order n must be an int in [0, 3], got {n!r}")
     if not (math.isfinite(h) and h > 0.0):
         raise DomainError(f"step h must be positive, got {h!r}")
-    if x < 0.0:
-        raise DomainError(f"probe point x must be nonnegative, got {x!r}")
+    if not 0.0 <= x < math.inf:  # also NaN
+        raise DomainError(f"probe point x must be finite and nonnegative, got {x!r}")
     if p.alpha > 1.0 or p.beta < p.alpha:
         raise DomainError(
             "probe requires 0 < alpha <= 1 and beta >= alpha "

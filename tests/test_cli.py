@@ -51,6 +51,11 @@ class TestMl:
     def test_out_of_domain_z_exits_2(self, capsys):
         assert run(["ml", "--alpha", "0.5", "--z", "-500"]) == 2
 
+    def test_zero_argument_at_large_beta(self, capsys):
+        # 1/Gamma(200) underflows to 0; math.gamma(200) alone would overflow
+        assert run(["ml", "--alpha", "0.5", "--beta", "200", "--z", "0"]) == 0
+        assert float(capsys.readouterr().out) == 0.0
+
 
 class TestCreep:
     def test_row_count_and_schema(self, capsys):

@@ -229,7 +229,7 @@ def sample_data(kind, n, seed=0):
 
 
 # (alpha, t_end/tau): a small order, the contour branch near z = 0, the
-# confluent branch (alpha = 1) and the contour branch far out
+# exponential kernel (alpha = 1) and the contour branch far out
 # ((t_end/tau)^a = 20)
 KERNEL_CASES = [(0.1, 2.0), (0.5, 2.0), (1.0, 5.0), (0.5, 400.0)]
 DATA_KINDS = ["signed", "nonnegative", "late-start", "tiny-then-large"]

@@ -152,8 +152,8 @@ def test_picard_approaches_linear_strain(alpha, eta, e_mod, ratio, ramp):
 @st.composite
 def negative_axis_cases(draw):
     """(alpha, beta, x) with points x in [0, 100] (z = -x), the contour
-    rule's whole range; alpha = 1, the confluent branch, in one case of
-    five."""
+    rule's whole range; alpha = 1, the exponential case of the same rule,
+    in one case of five."""
     alpha = 1.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.02, 0.999))
     beta = draw(st.floats(0.05, 8.0))
     point = st.floats(0.0, 100.0)

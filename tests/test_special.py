@@ -14,7 +14,6 @@ from fracvoigt.special import (
     Z_MAX_NEG,
     Z_MAX_POS,
     _branch_masks,
-    _confluent_neg,
     _integral_neg,
     _one_params,
     _series,
@@ -134,6 +133,36 @@ ORACLE_POINTS = [
     (0.999, 2.999, -100.0, 0.009899944377119094),
     (0.999, 10.0, -39.458346610427334, 5.197420005753621e-07),
     (0.999, 10.0, -100.0, 2.2902638839235853e-07),
+    # alpha = 1 on the contour rule, near z = 0 to the cap; 1/Gamma(200)
+    # underflows, so its row reads 0
+    (1.0, 0.25, -0.001, 0.27471328239685905),
+    (1.0, 0.25, -3.0, -0.18615741790720067),
+    (1.0, 0.25, -50.0, -0.004290663973797303),
+    (1.0, 0.25, -100.0, -0.002105853013916771),
+    (1.0, 1.5, -0.001, 1.1276272151326074),
+    (1.0, 1.5, -3.0, 0.23719834177477958),
+    (1.0, 1.5, -50.0, 0.011400197031654244),
+    (1.0, 1.5, -100.0, 0.0056705394232887596),
+    (1.0, 2.0, -0.001, 0.9995001666250083),
+    (1.0, 2.0, -3.0, 0.3167376438773787),
+    (1.0, 2.0, -50.0, 0.02),
+    (1.0, 2.0, -100.0, 0.01),
+    (1.0, 3.0, -0.001, 0.4998333749916681),
+    (1.0, 3.0, -3.0, 0.22775411870754045),
+    (1.0, 3.0, -50.0, 0.0196),
+    (1.0, 3.0, -100.0, 0.0099),
+    (1.0, 6.9, -0.001, 0.0016734140867468387),
+    (1.0, 6.9, -3.0, 0.001151208945106789),
+    (1.0, 6.9, -50.0, 0.00017956264930704306),
+    (1.0, 6.9, -100.0, 9.409053276789667e-05),
+    (1.0, 10.0, -0.001, 2.7554563742563703e-06),
+    (1.0, 10.0, -3.0, 2.108803256072698e-06),
+    (1.0, 10.0, -50.0, 4.2656772602311113e-07),
+    (1.0, 10.0, -100.0, 2.2948416363115874e-07),
+    (1.0, 200.0, -0.001, 0.0),
+    (1.0, 200.0, -3.0, 0.0),
+    (1.0, 200.0, -50.0, 0.0),
+    (1.0, 200.0, -100.0, 0.0),
 ]
 
 
@@ -221,6 +250,21 @@ class TestInvariants:
             got = ml_eval(MLParams(0.6, beta), 0.0)
             assert got == pytest.approx(1.0 / math.gamma(beta), rel=2e-16)
 
+    def test_value_at_zero_past_gamma_overflow(self):
+        # math.gamma overflows past beta = 171.6, where 1/Gamma(b) is
+        # subnormal or zero; below it the value is 1/math.gamma(b) exactly
+        assert ml_eval(MLParams(0.5, 171.5), 0.0) == 1.0 / math.gamma(171.5)
+        got = ml_eval(MLParams(0.5, 172.0), 0.0)
+        assert got == pytest.approx(1 / math.factorial(171), rel=1e-12)
+        assert 0.0 < got < 6e-309
+        for alpha in (0.5, 1.0, 1.5):
+            p = MLParams(alpha, 200.0)
+            assert ml_eval(p, 0.0) == 0.0
+            assert ml_eval(p, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+        zs = np.array([-1.0, 0.0, -0.0])
+        got = ml_eval(MLParams(0.5, 172.0), zs)
+        assert got.tolist() == [ml_eval(MLParams(0.5, 172.0), z) for z in zs]
+
     @pytest.mark.parametrize("alpha,beta", [(0.3, 0.3), (0.5, 1.0), (0.8, 1.5), (1.0, 1.0)])
     def test_nonnegative_and_nonincreasing_on_negative_axis(self, alpha, beta):
         p = MLParams(alpha, beta)
@@ -252,9 +296,9 @@ class TestInvariants:
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-# (alpha, beta, z values); the z values cross every branch: for alpha < 1
+# (alpha, beta, z values); the z values cross every branch: for alpha <= 1
 # the negative axis from near 0 to the cap -100 (contour rule), z = 0,
-# z > 0, and the confluent (alpha = 1) and series-only (alpha > 1) cases
+# z > 0, and the series-only (alpha > 1) case
 _BRANCH_CROSSING = [
     (0.5, 0.5, [-100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
     (0.3, 1.3, [-50.0, -3.0, -2.9, -0.5, 0.0, 0.7]),
@@ -266,7 +310,7 @@ _BRANCH_CROSSING = [
 
 class TestArrayEvaluation:
     def test_cases_cross_every_branch(self):
-        hit = np.zeros(4, dtype=bool)
+        hit = np.zeros(3, dtype=bool)
         for alpha, _, zs in _BRANCH_CROSSING:
             masks = _branch_masks(alpha, np.array(zs))
             assert np.array_equal(np.sum(masks, axis=0), np.ones(len(zs)))
@@ -319,12 +363,12 @@ class TestScalarFastPath:
         got = ml_eval(p, z)
         assert type(got) is float and got == expected
 
-    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.999])
+    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.999, 1.0])
     @pytest.mark.parametrize("beta", [0.05, 1.0, 6.0])
     def test_scalar_equals_one_element_array_at_branch_edges(self, alpha, beta):
+        # the zero/contour/series edges at z = 0 and the cap -Z_MAX_NEG
         p = MLParams(alpha, beta)
-        edge = -(36.0**alpha)  # |z|^(1/alpha) = 36
-        for z in (-0.0, edge, np.nextafter(edge, 0.0), np.nextafter(edge, -1.0)):
+        for z in (-0.0, -5e-324, 5e-324, -Z_MAX_NEG):
             got = ml_eval(p, float(z))
             assert type(got) is float
             assert np.array([got]).tobytes() == ml_eval(p, np.array([z])).tobytes()
@@ -368,9 +412,10 @@ class TestBranchConsistency:
         assert abs(val_s - val_i) <= 1e-8 * max(1.0, abs(val_s))
 
     def test_confluent_vs_series(self):
-        # alpha = 1 stabilized form against the raw series where it is safe
+        # alpha = 1, e^(-x) 1F1(b-1; b; x) / Gamma(b), on the contour against
+        # the raw series where it is safe
         for beta in [0.25, 0.8, 1.5, 2.0]:
-            val_c = _confluent_neg(beta, 3.0)
+            val_c = _integral_neg(1.0, beta, 3.0)
             val_s, cancel = _series(1.0, beta, -3.0)
             assert cancel <= 1e-12
             assert val_c == pytest.approx(val_s, abs=1e-13, rel=1e-11)
@@ -407,3 +452,6 @@ class TestDerivSignProbe:
             ml_deriv_sign_probe(p, -1.0, 1, 1e-3)
         with pytest.raises(DomainError):
             ml_deriv_sign_probe(MLParams(0.5, 0.25), 1.0, 1, 1e-3)  # beta < alpha
+        for x in (float("nan"), float("inf"), np.float64("nan")):
+            with pytest.raises(DomainError, match="finite and nonnegative"):
+                ml_deriv_sign_probe(p, x, 1, 1e-3)
