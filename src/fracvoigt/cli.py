@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ml = sub.add_parser("ml", help="evaluate the two-parameter Mittag-Leffler function")
-    p_ml.add_argument("--alpha", type=float, required=True, help="first parameter, in (0, 2]")
+    p_ml.add_argument("--alpha", type=float, required=True, help="first parameter, in (0, 1]")
     p_ml.add_argument("--beta", type=float, default=1.0, help="second parameter, > 0 (default 1)")
     p_ml.add_argument("--z", type=float, required=True, help="real argument")
     p_ml.add_argument("-o", "--output", help="write the value to a file instead of stdout")

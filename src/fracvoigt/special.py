@@ -8,20 +8,18 @@ selector, ``_branch_masks``, splits the arguments over three branches:
 
 * z = 0 gives 1/Gamma(b) exactly.
 * Taylor series with term-ratio truncation for z > 0, where the terms are
-  single-signed, and for 1 < a <= 2, where a cancelled sum on the negative
-  axis raises rather than degrades.
-* For 0 < a <= 1 and every z = -x in [-Z_MAX_NEG, 0), the Bromwich
-  integral E[a,b](-x) = 1/(2 pi i) int e^s s^(a-b) / (s^a + x) ds on the
-  parabolic contour s = mu (1 + i v)^2, discretized by the trapezoidal rule
-  in v with fixed nodes (Weideman & Trefethen, Math. Comp. 76 (2007);
+  positive.
+* For every z = -x in [-Z_MAX_NEG, 0), the Bromwich integral
+  E[a,b](-x) = 1/(2 pi i) int e^s s^(a-b) / (s^a + x) ds on the parabolic
+  contour s = mu (1 + i v)^2, discretized by the trapezoidal rule in v
+  with fixed nodes (Weideman & Trefethen, Math. Comp. 76 (2007);
   Garrappa, SIAM J. Numer. Anal. 53 (2015)).  The weights
   e^s s^(a-b) ds/dv do not depend on x, so they are built once per (a, b)
   and every x is then a short weighted sum of 1/(s^a + x).  Its error
   does not grow with x: see _CONTOUR_N for the validated range.
-  E[1,1](-x) is e^(-x).
 
-Every branch but the series takes whole arrays; the series runs per
-point inside an array call.
+Every branch takes whole arrays, and E[1,1](z) is e^z for every z.  The
+order a lies in (0, 1], the range of the fractional Voigt models.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ Z_MAX_NEG = 100.0
 Z_MAX_POS = 30.0
 
 _SERIES_MAX_TERMS = 8000
-
-_EPS = 2.22e-16
+_SERIES_BLOCK = 64  # terms summed per step; divides _SERIES_MAX_TERMS
 
 # Parabolic contour s = mu (1 + i v)^2 with trapezoidal nodes v_k = k*h,
 # k = 0.._CONTOUR_N (the mirror half is the complex conjugate).  With the
@@ -73,84 +70,76 @@ class MLParams:
     """Parameter pair (alpha, beta) of the two-parameter Mittag-Leffler
     function.
 
-    The model layer restricts alpha to (0, 1]; plain function evaluation is
-    supported for 0 < alpha <= 2.
+    alpha lies in (0, 1], the orders of the fractional Voigt models, and
+    beta is positive.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 2.0):
-            raise DomainError(f"alpha must lie in (0, 2], got {self.alpha!r}")
+        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise DomainError(f"beta must be positive, got {self.beta!r}")
 
 
-def _series(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """Taylor partial sums of the defining series.
+@lru_cache(maxsize=256)
+def _series_lgamma(alpha: float, beta: float, block: int) -> np.ndarray:
+    """Column of lgamma(alpha n + beta) over the terms n of one block."""
+    start = block * _SERIES_BLOCK
+    lg = [lgamma(alpha * n + beta) for n in range(start, start + _SERIES_BLOCK)]
+    column = np.array(lg)[:, None]
+    column.flags.writeable = False
+    return column
 
-    Returns (value, cancellation_estimate).  The estimate bounds the float64
-    rounding of the largest term; for single-signed series it is a vast
-    overestimate of the true error but still usable as an accept gate.
+
+def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E[a,b](z) at the points of the array z > 0 by the defining series.
+
+    The terms z^n / Gamma(a n + b) are positive, so the value is the running
+    sum, taken _SERIES_BLOCK terms at a time: one cumsum down each column
+    from the total carried over.  A point stops at the first term t with
+    t <= 1e-16 * total and t below the term before it.  A term past e^709,
+    an infinite total or no stop within _SERIES_MAX_TERMS terms raises
+    AccuracyError for the first such point in array order.
     """
-    ln_abs_z = math.log(abs(z))
-    negative = z < 0.0
-    terms = []
-    total = 0.0
-    err_max = 0.0
-    prev_abs = math.inf
-    converged = False
-    for n in range(_SERIES_MAX_TERMS):
-        lg = lgamma(alpha * n + beta)
-        ln_t = n * ln_abs_z - lg
-        if ln_t > 709.0:
-            raise AccuracyError(
-                f"series term overflow for E[{alpha},{beta}]({z}); "
-                "argument outside the supported growth range"
-            )
-        t = math.exp(ln_t)
-        if negative and n % 2 == 1:
-            t = -t
-        terms.append(t)
-        total += t
-        if math.isinf(total):
-            raise AccuracyError(
-                f"series for E[{alpha},{beta}]({z}) overflows float64"
-            )
-        a_t = abs(t)
-        # per-term rounding: the exponent ln_t carries absolute error
-        # ~eps * (|n ln z| + |lgamma| + |ln_t|), all of which exp() turns
-        # into relative error of the term
-        err_max = max(
-            err_max, a_t * (2.0 + abs(n * ln_abs_z) + 2.0 * abs(lg) + abs(ln_t))
-        )
-        if a_t <= 1e-16 * abs(total) and a_t < prev_abs:
-            converged = True
+    ln_z = np.log(z)
+    value = np.empty_like(z)
+    failed = np.zeros(z.size, dtype=np.int8)  # 1 term, 2 total, 3 no stop
+    live = np.arange(z.size)
+    total = np.zeros((1, z.size))
+    prev = np.full((1, z.size), np.inf)
+    for block in range(_SERIES_MAX_TERMS // _SERIES_BLOCK):
+        n = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
+        ln_t = n[:, None] * ln_z[live] - _series_lgamma(alpha, beta, block)
+        with np.errstate(over="ignore"):  # overflow is found and raised below
+            t = np.exp(ln_t)
+            sums = np.cumsum(np.vstack((total, t)), axis=0)[1:]
+        big = ln_t > 709.0
+        bad = big | np.isinf(sums)
+        stop = bad | (t <= 1e-16 * sums) & (t < np.vstack((prev, t[:-1])))
+        first = stop.argmax(axis=0)
+        done = stop.any(axis=0)
+        cols = np.flatnonzero(done)
+        rows = first[cols]
+        value[live[cols]] = sums[rows, cols]
+        failed[live[cols]] = np.where(big[rows, cols], 1, 2) * bad[rows, cols]
+        live, total, prev = live[~done], sums[-1:, ~done], t[-1:, ~done]
+        if not live.size:
             break
-        prev_abs = a_t
-    if not converged:
+    failed[live] = 3
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        where = f"E[{alpha},{beta}]({float(z[i])})"
         raise AccuracyError(
-            f"series for E[{alpha},{beta}]({z}) did not converge within "
-            f"{_SERIES_MAX_TERMS} terms"
-        )
-    value = math.fsum(terms)
-    return value, _EPS * err_max
-
-
-def _series_checked(alpha: float, beta: float, z: float) -> float:
-    """Series branch value.  The negative axis reaches it only for
-    alpha > 1, where no other branch exists, so a cancelled sum raises."""
-    if alpha == 1.0 and beta == 1.0:
-        return math.exp(z)  # exact exponential reduction
-    value, cancel = _series(alpha, beta, z)
-    # accept anything that still clears the 1e-10 contract with a factor-5
-    # margin (the estimate is itself conservative); beyond that an honest
-    # error beats a degraded value
-    if z < 0.0 and cancel > 2e-11 * max(1.0, abs(value)):
-        raise AccuracyError(
-            f"no branch reaches the accuracy target for "
-            f"E[{alpha},{beta}]({z})"
+            (
+                f"series term overflow for {where}; "
+                "argument outside the supported growth range",
+                f"series for {where} overflows float64",
+                f"series for {where} did not converge within "
+                f"{_SERIES_MAX_TERMS} terms",
+            )[failed[i] - 1]
         )
     return value
 
@@ -185,11 +174,8 @@ def _integral_neg(alpha: float, beta: float, x):
     on the line Im v = 1 of the branch point, so the error bound is the
     same.  A larger x only flattens the integrand, so the error does not
     grow with x: it stays below 1e-14 out to x = 1e8, past the cap
-    Z_MAX_NEG.  E[1,1](-x) is e^(-x), exactly as np.exp rounds it.
+    Z_MAX_NEG.
     """
-    if alpha == 1.0 and beta == 1.0:
-        value = np.exp(-x)  # np.exp on both paths: math.exp rounds differently
-        return float(value) if isinstance(x, float) else value
     total = 0.0
     for p, q, gr, gi in _contour_nodes(alpha, beta):
         d = x + p  # Re(s^a + x)
@@ -207,36 +193,30 @@ def _recip_gamma(beta: float) -> float:
         return math.exp(-lgamma(beta))
 
 
-def _branch_masks(alpha: float, z):
-    """Masks (zero, series, contour) over z, a float (masks are bools) or a
-    float array (boolean arrays); every point lies in exactly one of them,
-    and each alpha has at most one branch for z < 0."""
-    zero = z == 0.0
-    if alpha > 1.0:
-        return zero, z != 0.0, z != z  # z is finite: no contour point
-    return zero, z > 0.0, z < 0.0
+def _branch_masks(z: np.ndarray):
+    """Masks (zero, series, contour) over the float array z; every finite
+    point lies in exactly one of them."""
+    return z == 0.0, z > 0.0, z < 0.0
 
 
-# one (evaluator, takes arrays) pair per mask of _branch_masks; evaluators
-# map (alpha, beta, z) to E[alpha,beta](z)
+# one evaluator per mask of _branch_masks, mapping (alpha, beta, z) for an
+# array z to E[alpha,beta](z)
 _BRANCHES = (
-    (lambda alpha, beta, z: _recip_gamma(beta), True),
-    (_series_checked, False),
-    (lambda alpha, beta, z: _integral_neg(alpha, beta, -z), True),
+    lambda alpha, beta, z: _recip_gamma(beta),
+    _series,
+    lambda alpha, beta, z: _integral_neg(alpha, beta, -z),
 )
 
 
-def _eval_masked(alpha: float, beta: float, z: np.ndarray, masks) -> np.ndarray:
-    """Evaluate E[a,b] at the points of the 1-d array z on the branches
-    given by masks."""
+def _eval_masked(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E[a,b] at the points of the 1-d array z, each branch taking its
+    masked points at once."""
+    if alpha == 1.0 and beta == 1.0:
+        return np.exp(z)  # E[1,1](z) = e^z for every z
     out = np.empty_like(z)
-    for mask, (evaluate, on_arrays) in zip(masks, _BRANCHES):
-        if on_arrays:
-            if mask.any():
-                out[mask] = evaluate(alpha, beta, z[mask])
-        else:  # the series runs per point
-            for i in np.flatnonzero(mask):
-                out[i] = evaluate(alpha, beta, float(z[i]))
+    for mask, evaluate in zip(_branch_masks(z), _BRANCHES):
+        if mask.any():
+            out[mask] = evaluate(alpha, beta, z[mask])
     return out
 
 
@@ -260,24 +240,22 @@ def ml_eval(p: MLParams, z):
     for bit to evaluating its elements one at a time.  Absolute-or-relative
     accuracy is 1e-10 or better on the supported domain
     -Z_MAX_NEG <= z <= Z_MAX_POS.  Raises AccuracyError when any z lies
-    outside the caps or (for rapidly growing cases at small alpha) when no
-    branch converges to tolerance.
+    outside the caps or when the series at some z > 0 overflows float64
+    (rapid growth at small alpha), naming the first such point.
     """
     if isinstance(z, (float, int)) or np.ndim(z) == 0:
         z = float(z)
         if not -Z_MAX_NEG <= z <= Z_MAX_POS:  # also NaN
             _check_domain(z, z)
-        alpha = p.alpha
-        if z < 0.0 and alpha <= 1.0:  # the masks' contour branch
-            return _integral_neg(alpha, p.beta, -z)
-        evaluate, _ = _BRANCHES[_branch_masks(alpha, z).index(True)]
-        return evaluate(alpha, p.beta, z)
+        # the contour branch skips the arrays; E[1,1] is left to _eval_masked
+        if z < 0.0 and (p.alpha != 1.0 or p.beta != 1.0):
+            return _integral_neg(p.alpha, p.beta, -z)
+        return float(_eval_masked(p.alpha, p.beta, np.array([z]))[0])
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
     if flat.size:
         _check_domain(flat.min(), flat.max())
-    out = _eval_masked(p.alpha, p.beta, flat, _branch_masks(p.alpha, flat))
-    return out.reshape(arr.shape)
+    return _eval_masked(p.alpha, p.beta, flat).reshape(arr.shape)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -302,8 +280,8 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
     """n-th central finite difference (divided by h^n) of t -> E[a,b](-t)
     at t = x, used by the complete-monotonicity test suite.
 
-    Each alpha has one branch on the negative axis, so every stencil point
-    there is evaluated on the same branch and inter-branch offsets cannot
+    The negative axis has one branch, so every stencil point there is
+    evaluated on the same branch and inter-branch offsets cannot
     masquerade as sign changes in the third difference; the stencil skips
     the domain check of ml_eval.
     """
@@ -313,14 +291,13 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
         raise DomainError(f"step h must be positive, got {h!r}")
     if not 0.0 <= x < math.inf:  # also NaN
         raise DomainError(f"probe point x must be finite and nonnegative, got {x!r}")
-    if p.alpha > 1.0 or p.beta < p.alpha:
+    if p.beta < p.alpha:
         raise DomainError(
-            "probe requires 0 < alpha <= 1 and beta >= alpha "
-            f"(got alpha={p.alpha}, beta={p.beta})"
+            f"probe requires beta >= alpha (got alpha={p.alpha}, beta={p.beta})"
         )
     stencil = _PROBE_STENCILS[n]
     z = -(x + np.array([offset for offset, _ in stencil]) * h)
-    values = _eval_masked(p.alpha, p.beta, z, _branch_masks(p.alpha, z))
+    values = _eval_masked(p.alpha, p.beta, z)
     acc = 0.0
     for (_, coeff), value in zip(stencil, values):
         acc += coeff * float(value)

@@ -48,6 +48,10 @@ class TestMl:
             assert run(["ml", *(x for kv in args.items() for x in kv)]) == 2
             assert f"error: {flag} must" in capsys.readouterr().err
 
+    def test_alpha_past_one_exits_2(self, capsys):
+        assert run(["ml", "--alpha", "1.5", "--z", "1"]) == 2
+        assert "error: --alpha must lie in (0, 1], got 1.5" in capsys.readouterr().err
+
     def test_out_of_domain_z_exits_2(self, capsys):
         assert run(["ml", "--alpha", "0.5", "--z", "-500"]) == 2
 

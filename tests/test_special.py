@@ -2,10 +2,11 @@
 structural invariants, and branch consistency."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracvoigt.errors import AccuracyError, DomainError
@@ -16,11 +17,11 @@ from fracvoigt.special import (
     _branch_masks,
     _integral_neg,
     _one_params,
-    _series,
     ml_deriv_sign_probe,
     ml_eval,
     ml_one,
 )
+from oracles import _ml_series_mp
 
 # frozen extended-precision oracle values (tests/oracles.py)
 ORACLE_POINTS = [
@@ -163,6 +164,67 @@ ORACLE_POINTS = [
     (1.0, 200.0, -3.0, 0.0),
     (1.0, 200.0, -50.0, 0.0),
     (1.0, 200.0, -100.0, 0.0),
+    # the series' whole domain z in (5, 30] (oracles._ml_series_mp), alpha in
+    # {0.3, 0.5, 0.7, 0.9, 1} and beta in {a, 1, a+1, a+2}; None where
+    # E ~ exp(z^(1/a)) / a overflows float64 (z^(1/a) > 700) and ml_eval
+    # raises AccuracyError
+    (0.3, 0.3, 5.5, 6.228238210705077e+129),
+    (0.3, 0.3, 12.0, None),
+    (0.3, 0.3, 30.0, None),
+    (0.3, 1.0, 5.5, 1.166412788191322e+128),
+    (0.3, 1.0, 12.0, None),
+    (0.3, 1.0, 30.0, None),
+    (0.3, 1.3, 5.5, 2.120750523984221e+127),
+    (0.3, 1.3, 12.0, None),
+    (0.3, 1.3, 30.0, None),
+    (0.3, 2.3, 5.5, 7.22127611825913e+124),
+    (0.3, 2.3, 12.0, None),
+    (0.3, 2.3, 30.0, None),
+    (0.5, 0.5, 5.5, 150938754752113.97),
+    (0.5, 0.5, 12.0, 8.291185576122111e+63),
+    (0.5, 0.5, 30.0, None),
+    (0.5, 1.0, 5.5, 27443409954929.71),
+    (0.5, 1.0, 12.0, 6.909321313435092e+62),
+    (0.5, 1.0, 30.0, None),
+    (0.5, 1.5, 5.5, 4989710900896.129),
+    (0.5, 1.5, 12.0, 5.757767761195911e+61),
+    (0.5, 1.5, 30.0, None),
+    (0.5, 2.5, 5.5, 164949120690.562),
+    (0.5, 2.5, 12.0, 3.998449834163827e+59),
+    (0.5, 2.5, 30.0, None),
+    (0.7, 0.7, 5.5, 270261.8780953638),
+    (0.7, 0.7, 12.0, 5427799069345534.0),
+    (0.7, 0.7, 30.0, 5.731136203321275e+56),
+    (0.7, 1.0, 5.5, 130162.62839026815),
+    (0.7, 1.0, 12.0, 1871188388856723.5),
+    (0.7, 1.0, 30.0, 1.334101165253741e+56),
+    (0.7, 1.7, 5.5, 23665.750616412388),
+    (0.7, 1.7, 12.0, 155932365738060.22),
+    (0.7, 1.7, 30.0, 4.447003884179137e+54),
+    (0.7, 2.7, 5.5, 2072.126031594562),
+    (0.7, 2.7, 12.0, 4479698377559.782),
+    (0.7, 2.7, 30.0, 3.4505973762138e+52),
+    (0.9, 0.9, 5.5, 1034.6015832796759),
+    (0.9, 0.9, 12.0, 10823484.316811003),
+    (0.9, 0.9, 30.0, 1.6671884717040935e+19),
+    (0.9, 1.0, 5.5, 856.0560682648555),
+    (0.9, 1.0, 12.0, 8212172.520746422),
+    (0.9, 1.0, 30.0, 1.1425102754824479e+19),
+    (0.9, 1.9, 5.5, 155.4647396845192),
+    (0.9, 1.9, 12.0, 684347.6267288687),
+    (0.9, 1.9, 30.0, 3.8083675849414944e+17),
+    (0.9, 2.9, 5.5, 23.198814848572322),
+    (0.9, 2.9, 12.0, 43269.87439922737),
+    (0.9, 2.9, 30.0, 8699474539437277.0),
+    (1.0, 1.0, 5.5, 244.69193226422038),
+    (1.0, 1.0, 12.0, 162754.79141900392),
+    (1.0, 1.0, 30.0, 10686474581524.463),
+    (1.0, 2.0, 5.5, 44.30762404804007),
+    (1.0, 2.0, 12.0, 13562.81595158366),
+    (1.0, 2.0, 30.0, 356215819384.1154),
+    (1.0, 3.0, 5.5, 7.874113463280013),
+    (1.0, 3.0, 12.0, 1130.1513292986383),
+    (1.0, 3.0, 30.0, 11873860646.103848),
 ]
 
 
@@ -195,22 +257,34 @@ class TestKnownValues:
             math.exp(16.0) * math.erfc(4.0), rel=1e-11
         )
 
-    def test_cosine_reduction_alpha_two(self):
-        assert ml_eval(MLParams(2.0, 1.0), -9.0) == pytest.approx(
-            math.cos(3.0), rel=1e-12
-        )
-
     @pytest.mark.parametrize("alpha,beta,z,expected", ORACLE_POINTS)
     def test_frozen_oracle_values(self, alpha, beta, z, expected):
+        if expected is None:
+            with pytest.raises(AccuracyError):
+                ml_eval(MLParams(alpha, beta), z)
+            return
         got = ml_eval(MLParams(alpha, beta), z)
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
 
 class TestDomain:
-    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-0.5, 1.0), (2.5, 1.0), (0.5, 0.0), (0.5, -1.0)])
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (2.0, 1.0), (2.5, 1.0), (0.5, 0.0), (0.5, -1.0)],
+    )
     def test_invalid_params(self, alpha, beta):
         with pytest.raises(DomainError):
             MLParams(alpha, beta)
+
+    @pytest.mark.parametrize("alpha", [1.0000000000000002, 1.6, 2.0])
+    def test_alpha_past_one_names_the_range(self, alpha):
+        # the order lies in (0, 1]: E[2,1](-x^2) = cos x and the rest of
+        # 1 < alpha <= 2 are rejected before any point is evaluated
+        message = rf"alpha must lie in \(0, 1\], got {alpha!r}"
+        with pytest.raises(DomainError, match=message):
+            MLParams(alpha, 0.8)
+        with pytest.raises(DomainError, match=message):
+            ml_one(alpha, np.array([-5.0, 0.0, 2.0]))
 
     def test_argument_caps(self):
         with pytest.raises(AccuracyError):
@@ -257,7 +331,7 @@ class TestInvariants:
         got = ml_eval(MLParams(0.5, 172.0), 0.0)
         assert got == pytest.approx(1 / math.factorial(171), rel=1e-12)
         assert 0.0 < got < 6e-309
-        for alpha in (0.5, 1.0, 1.5):
+        for alpha in (0.5, 1.0):
             p = MLParams(alpha, 200.0)
             assert ml_eval(p, 0.0) == 0.0
             assert ml_eval(p, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
@@ -275,36 +349,25 @@ class TestInvariants:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        alpha=st.floats(0.2, 2.0),
+        alpha=st.floats(0.2, 1.0, exclude_min=True),
         beta=st.floats(0.1, 3.0),
         z=st.floats(-40.0, 2.0),
     )
     def test_term_shift_identity(self, alpha, beta, z):
         # E[a,b](z) = z * E[a,a+b](z) + 1/Gamma(b)
-        if alpha > 1.0:
-            # series-only regime: far negative arguments raise honestly
-            try:
-                lhs = ml_eval(MLParams(alpha, beta), z)
-                rhs_tail = ml_eval(MLParams(alpha, alpha + beta), z)
-            except AccuracyError:
-                assume(False)
-                return
-        else:
-            lhs = ml_eval(MLParams(alpha, beta), z)
-            rhs_tail = ml_eval(MLParams(alpha, alpha + beta), z)
+        lhs = ml_eval(MLParams(alpha, beta), z)
+        rhs_tail = ml_eval(MLParams(alpha, alpha + beta), z)
         rhs = z * rhs_tail + 1.0 / math.gamma(beta)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
-# (alpha, beta, z values); the z values cross every branch: for alpha <= 1
-# the negative axis from near 0 to the cap -100 (contour rule), z = 0,
-# z > 0, and the series-only (alpha > 1) case
+# (alpha, beta, z values); the z values cross every branch: the negative
+# axis from near 0 to the cap -100 (contour rule), z = 0 and z > 0 (series)
 _BRANCH_CROSSING = [
     (0.5, 0.5, [-100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
     (0.3, 1.3, [-50.0, -3.0, -2.9, -0.5, 0.0, 0.7]),
     (1.0, 1.0, [-100.0, -3.0, 0.0, 2.5]),
     (1.0, 0.4, [-100.0, -3.0, 0.0, 2.5]),
-    (1.6, 0.8, [-5.0, -1.0, 0.0, 0.5, 2.0]),
 ]
 
 
@@ -312,7 +375,7 @@ class TestArrayEvaluation:
     def test_cases_cross_every_branch(self):
         hit = np.zeros(3, dtype=bool)
         for alpha, _, zs in _BRANCH_CROSSING:
-            masks = _branch_masks(alpha, np.array(zs))
+            masks = _branch_masks(np.array(zs))
             assert np.array_equal(np.sum(masks, axis=0), np.ones(len(zs)))
             hit |= [m.any() for m in masks]
         assert hit.all()
@@ -335,6 +398,28 @@ class TestArrayEvaluation:
         assert ml_eval(p, np.empty(0)).shape == (0,)
         assert type(ml_eval(p, np.float64(-1.0))) is float
 
+    def test_series_raise_names_first_bad_point(self):
+        # at alpha = 0.25 the term z^n / Gamma(n/4 + 1) passes e^709 near
+        # n = 530 for z = 10 but near n = 230 for z = 30: the later point
+        # fails first in term order, yet the error names z = 10
+        p = MLParams(0.25, 1.0)
+
+        def first_big_term(z):
+            return next(n for n in range(8000) if n * math.log(z) - math.lgamma(n / 4 + 1) > 709)
+
+        assert first_big_term(30.0) < first_big_term(10.0)
+        with pytest.raises(AccuracyError) as scalar:
+            ml_eval(p, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError) as array:
+                ml_eval(p, np.array([1.0, 0.0, -3.0, 10.0, 30.0, 2.0]))
+        assert str(array.value) == str(scalar.value)
+        assert str(array.value) == (
+            "series term overflow for E[0.25,1.0](10.0); "
+            "argument outside the supported growth range"
+        )
+
     def test_array_domain_checks(self):
         p = MLParams(0.5, 1.0)
         with pytest.raises(AccuracyError):
@@ -346,7 +431,7 @@ class TestArrayEvaluation:
 
 
 class TestScalarFastPath:
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.6])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
     @pytest.mark.parametrize(
         "z",
         [-3, True, False, np.float64(-2.5), np.float32(-2.5), np.int64(-40), np.array(-7.25)],
@@ -354,12 +439,7 @@ class TestScalarFastPath:
     )
     def test_scalar_types_give_the_float_result(self, alpha, z):
         p = MLParams(alpha, 0.8)
-        try:
-            expected = ml_eval(p, float(z))
-        except AccuracyError:  # alpha > 1 far out: the series raises honestly
-            with pytest.raises(AccuracyError):
-                ml_eval(p, z)
-            return
+        expected = ml_eval(p, float(z))
         got = ml_eval(p, z)
         assert type(got) is float and got == expected
 
@@ -404,21 +484,38 @@ class TestScalarFastPath:
 class TestBranchConsistency:
     @pytest.mark.parametrize("alpha,beta", [(0.3, 1.0), (0.5, 0.5), (0.75, 1.2), (0.9, 0.9)])
     def test_series_vs_integral(self, alpha, beta):
-        # where the series still has headroom, both branches must agree
+        # the contour rule against the mpmath series of tests/oracles.py
         x = 0.8 * 14.0**alpha
-        val_s, cancel = _series(alpha, beta, -x)
-        assert cancel <= 1e-9
+        val_s = float(_ml_series_mp(alpha, beta, -x))
         val_i = _integral_neg(alpha, beta, x)
         assert abs(val_s - val_i) <= 1e-8 * max(1.0, abs(val_s))
 
     def test_confluent_vs_series(self):
         # alpha = 1, e^(-x) 1F1(b-1; b; x) / Gamma(b), on the contour against
-        # the raw series where it is safe
+        # the mpmath series of tests/oracles.py
         for beta in [0.25, 0.8, 1.5, 2.0]:
             val_c = _integral_neg(1.0, beta, 3.0)
-            val_s, cancel = _series(1.0, beta, -3.0)
-            assert cancel <= 1e-12
+            val_s = float(_ml_series_mp(1.0, beta, -3.0))
             assert val_c == pytest.approx(val_s, abs=1e-13, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,z_max", [(0.3, 0.3, 5.5), (0.5, 1.0, 12.0), (0.75, 2.5, 30.0), (1.0, 0.4, 30.0)]
+    )
+    def test_series_matches_term_loop(self, alpha, beta, z_max):
+        # reference: one point at a time, the float64 terms added in order
+        # until the stop rule fires; the blocked running sums equal it bit
+        # for bit
+        def loop(z):
+            total, prev = 0.0, math.inf
+            for n in range(8000):
+                t = float(np.exp(n * np.log(z) - math.lgamma(alpha * n + beta)))
+                total += t
+                if t <= 1e-16 * total and t < prev:
+                    return total
+                prev = t
+
+        zs = np.append(5e-324, np.geomspace(1e-3, z_max, 9))
+        assert ml_eval(MLParams(alpha, beta), zs).tolist() == [loop(z) for z in zs]
 
 
 class TestDerivSignProbe:
