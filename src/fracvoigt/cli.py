@@ -30,8 +30,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from . import expr
-from .errors import AccuracyError, DomainError, EvaluationError
-from .expr import ParseError
+from .errors import DomainError, FracvoigtError
 from .fracops import Grid, Signal
 from .nonlinear import ConstitutiveLaw, check_hypotheses, residual, solve_nonlinear
 from .special import MLParams, ml_eval
@@ -46,7 +45,8 @@ from .voigt import (
 
 logger = logging.getLogger("fracvoigt.cli")
 
-STRESS_BUILTINS = ("zero", "unit-step", "ramp")
+# named stress histories, each an expression in t
+STRESS_BUILTINS = {"zero": "0", "unit-step": "1", "ramp": "t"}
 
 # Largest --n: a run holds about 150 bytes per grid point at its peak (113
 # traced, 150 of RSS at n = 262144 for creep, strain, picard and solve), so
@@ -96,7 +96,7 @@ _EXPR_HELP = (
     "expression syntax: numbers, one free variable (t for stress histories, "
     "eps for laws), + - * / ^ with ^ right-associative and binding tighter "
     "than unary minus (-2^2 is -4), parentheses, and the functions "
-    "exp log sqrt sin cos abs pow; no implicit multiplication. "
+    f"{' '.join(expr.FUNCTIONS)}; no implicit multiplication. "
     "CSV output: header t,value, one row per grid point at full precision, "
     "then #-prefixed trailer comments with solver metadata. Exit codes: "
     "0 ok, 1 solver did not converge, 2 usage error, 3 i/o error."
@@ -212,14 +212,10 @@ def _stress_signal(args: argparse.Namespace, grid: Grid | None) -> Signal:
             raise UsageError("--n conflicts with the grid of --stress-csv")
         return sig
     assert grid is not None
-    if args.stress_expr is not None:
-        tree = expr.parse(args.stress_expr, "t")
-        return Signal(grid, expr.evaluate(tree, grid.points))
-    if args.stress_builtin == "zero":
-        return Signal.zeros(grid)
-    if args.stress_builtin == "unit-step":
-        return Signal(grid, np.ones(grid.n + 1))
-    return Signal(grid, grid.points.copy())  # ramp
+    src = args.stress_expr
+    if src is None:
+        src = STRESS_BUILTINS[args.stress_builtin]
+    return Signal(grid, expr.evaluate(expr.parse(src, "t"), grid.points))
 
 
 @contextlib.contextmanager
@@ -367,7 +363,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     logger.info("dispatching %s", args.command)
     try:
         return _DISPATCH[args.command](args)
-    except (UsageError, DomainError, ParseError, EvaluationError, AccuracyError) as exc:
+    except (UsageError, FracvoigtError) as exc:
         message = str(exc)
         field, _, rest = message.partition(" ")
         if isinstance(exc, DomainError) and field in vars(args):

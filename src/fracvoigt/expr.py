@@ -1,6 +1,6 @@
 """Arithmetic expression parser for stress histories and stress-strain laws.
 
-Recursive descent over a small fixed grammar with one free variable:
+A small fixed grammar with one free variable:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -10,10 +10,13 @@ Recursive descent over a small fixed grammar with one free variable:
 
 '^' binds tighter than unary minus (-2^2 evaluates to -4) and associates to
 the right (2^3^2 is 512).  There is no implicit multiplication: "2t" is a
-syntax error.  evaluate binds the variable to a float or to a whole array
-(numpy ufuncs, one pass over the tree).  Evaluation never returns NaN or
-infinity silently; any undefined or non-finite intermediate raises
-EvaluationError naming the offending subexpression.
+syntax error.  One table, _PREC, holds these levels: the parser climbs it
+(precedence climbing; Norvell, "Parsing expressions by recursive descent",
+1999) and to_source takes its parentheses from it.  evaluate binds the
+variable to a float or to a whole array (numpy ufuncs, one pass over the
+tree).  Evaluation never returns NaN or infinity silently; any undefined or
+non-finite intermediate raises EvaluationError naming the offending
+subexpression.
 """
 
 from __future__ import annotations
@@ -24,23 +27,41 @@ from typing import Union
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import EvaluationError, FracvoigtError
 
 __all__ = ["ParseError", "parse", "evaluate", "to_source", "FUNCTIONS"]
 
+# function name -> (numpy function, the reason an EvaluationError names when
+# its value is not finite, or None where this is not checked)
+_FUNCS = {
+    "exp": (np.exp, "overflow"),
+    "log": (np.log, "non-finite value"),
+    "sqrt": (np.sqrt, None),
+    "sin": (np.sin, "overflow"),
+    "cos": (np.cos, "overflow"),
+    "abs": (np.abs, "overflow"),
+    "pow": (np.power, None),  # checked by _check_power
+}
 # function name -> arity
-FUNCTIONS = {
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "sin": 1,
-    "cos": 1,
-    "abs": 1,
-    "pow": 2,
+FUNCTIONS = {name: fn.nin for name, (fn, _) in _FUNCS.items()}
+
+# binary operator -> numpy function
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+# operator or function name -> (test of its last argument against 0 that
+# marks a point outside the domain, the reason the error names)
+_DOMAIN = {
+    "/": (np.equal, "division by zero"),
+    "log": (np.less_equal, "log of nonpositive value"),
+    "sqrt": (np.less, "sqrt of negative value"),
 }
 
+# binding power of each binary operator and of unary minus; '^' alone is
+# right-associative
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-class ParseError(ValueError):
+
+class ParseError(FracvoigtError, ValueError):
     """Syntax or unknown-identifier error, with the byte offset in src."""
 
     def __init__(self, message: str, position: int):
@@ -79,24 +100,19 @@ class Call:
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(src, pos)
-        if m is None or m.lastgroup is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(src):  # whitespace matches no alternative
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(src)))
     return tokens
 
@@ -121,40 +137,22 @@ class _Parser:
             raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", pos)
         self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """An operand followed by every binary operator that binds at
+        min_prec or tighter."""
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+            node = Neg(self.parse_expr(_PREC["neg"]))
+        else:
+            node = self.parse_atom()
+        while True:
+            kind, text, _ = self.peek()
+            prec = _PREC.get(text, 0) if kind == "op" else 0
+            if prec < min_prec:
+                return node
             self.advance()
-            return BinOp("^", node, self.parse_unary())
-        return node
+            node = BinOp(text, node, self.parse_expr(prec + (text != "^")))
 
     def parse_atom(self) -> Expr:
         kind, text, pos = self.advance()
@@ -164,13 +162,9 @@ class _Parser:
             if text in FUNCTIONS:
                 self.expect_op("(")
                 args = [self.parse_expr()]
-                while True:
-                    k, t, _ = self.peek()
-                    if k == "op" and t == ",":
-                        self.advance()
-                        args.append(self.parse_expr())
-                    else:
-                        break
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.parse_expr())
                 self.expect_op(")")
                 arity = FUNCTIONS[text]
                 if len(args) != arity:
@@ -201,9 +195,9 @@ def parse(src: str, var_name: str) -> Expr:
     return node
 
 
-def _check_finite(value, node: Expr):
+def _check_finite(value, node: Expr, reason: str = "non-finite value"):
     if not np.isfinite(value).all():
-        raise EvaluationError(f"non-finite value in {to_source(node)!r}")
+        raise EvaluationError(f"{reason} in {to_source(node)!r}")
     return value
 
 
@@ -234,41 +228,24 @@ def _eval(e: Expr, x: np.ndarray):
     if isinstance(e, Neg):
         return -_eval(e.operand, x)
     if isinstance(e, BinOp):
-        left = _eval(e.left, x)
-        right = _eval(e.right, x)
-        if e.op == "+":
-            return _check_finite(left + right, e)
-        if e.op == "-":
-            return _check_finite(left - right, e)
-        if e.op == "*":
-            return _check_finite(left * right, e)
-        if e.op == "/":
-            if np.equal(right, 0.0).any():
-                raise EvaluationError(f"division by zero in {to_source(e)!r}")
-            return _check_finite(left / right, e)
-        return _pow(left, right, e)
-    if isinstance(e, Call):
-        args = [_eval(a, x) for a in e.args]
-        if e.func == "pow":
-            return _pow(args[0], args[1], e)
-        if e.func == "log":
-            if np.less_equal(args[0], 0.0).any():
-                raise EvaluationError(f"log of nonpositive value in {to_source(e)!r}")
-            return _check_finite(np.log(args[0]), e)
-        if e.func == "sqrt":
-            if np.less(args[0], 0.0).any():
-                raise EvaluationError(f"sqrt of negative value in {to_source(e)!r}")
-            return np.sqrt(args[0])
-        fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs}[e.func]
-        value = fn(args[0])
-        if not np.isfinite(value).all():  # only exp can overflow
-            raise EvaluationError(f"overflow in {to_source(e)!r}")
-        return value
-    raise TypeError(f"not an expression node: {e!r}")
+        name, args = e.op, (_eval(e.left, x), _eval(e.right, x))
+        fn, reason = _BINOPS[name], "non-finite value"
+    elif isinstance(e, Call):
+        name, args = e.func, [_eval(a, x) for a in e.args]
+        fn, reason = _FUNCS[name]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if name in _DOMAIN:
+        outside, why = _DOMAIN[name]
+        if outside(args[-1], 0.0).any():
+            raise EvaluationError(f"{why} in {to_source(e)!r}")
+    value = fn(*args)
+    if fn is np.power:
+        return _check_power(value, args[0], e)
+    return value if reason is None else _check_finite(value, e, reason)
 
 
-def _pow(base, exponent, node: Expr):
-    value = np.power(base, exponent)
+def _check_power(value, base, node: Expr):
     finite = np.isfinite(value)
     if not finite.all():
         # math.pow's two errors: a negative base to a non-integer power and
@@ -279,15 +256,12 @@ def _pow(base, exponent, node: Expr):
     return value
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
         return _PREC[e.op]
     if isinstance(e, Neg):
         return _PREC["neg"]
-    return 5
+    return 5  # an atom binds tightest
 
 
 def to_source(e: Expr) -> str:
@@ -305,13 +279,12 @@ def to_source(e: Expr) -> str:
     if isinstance(e, BinOp):
         left = to_source(e.left)
         right = to_source(e.right)
-        p = _PREC[e.op]
-        # '^' is right-associative, everything else left-associative; the
-        # non-associative side is parenthesized at equal precedence so the
-        # printed text reparses to the identical tree
-        if _prec(e.left) < p or (e.op == "^" and _prec(e.left) <= p):
+        p, right_assoc = _PREC[e.op], e.op == "^"
+        # at equal precedence the side the parser does not group is
+        # parenthesized, so the printed text reparses to the identical tree
+        if _prec(e.left) < p + right_assoc:
             left = f"({left})"
-        if _prec(e.right) < p or (e.op != "^" and _prec(e.right) <= p and isinstance(e.right, (BinOp, Neg))):
+        if _prec(e.right) < p + (not right_assoc):
             right = f"({right})"
         return f"{left}{e.op}{right}"
     if isinstance(e, Call):

@@ -220,15 +220,13 @@ def _eval_masked(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_domain(z_min: float, z_max: float) -> None:
-    """Raise unless every z in [z_min, z_max] is finite and within the caps."""
-    for z in (z_min, z_max):
-        if not math.isfinite(z):
-            raise DomainError(f"z must be finite, got {float(z)!r}")
-    if z_max > Z_MAX_POS or z_min < -Z_MAX_NEG:
-        bad = z_max if z_max > Z_MAX_POS else z_min
+def _check_domain(z: float) -> None:
+    """Raise unless z is finite and within the caps."""
+    if not math.isfinite(z):
+        raise DomainError(f"z must be finite, got {float(z)!r}")
+    if not -Z_MAX_NEG <= z <= Z_MAX_POS:
         raise AccuracyError(
-            f"z={float(bad)} outside the supported domain "
+            f"z={float(z)} outside the supported domain "
             f"[-{Z_MAX_NEG:g}, {Z_MAX_POS:g}]"
         )
 
@@ -239,22 +237,24 @@ def ml_eval(p: MLParams, z):
     A scalar gives a float, an array an array of the same shape, equal bit
     for bit to evaluating its elements one at a time.  Absolute-or-relative
     accuracy is 1e-10 or better on the supported domain
-    -Z_MAX_NEG <= z <= Z_MAX_POS.  Raises AccuracyError when any z lies
-    outside the caps or when the series at some z > 0 overflows float64
-    (rapid growth at small alpha), naming the first such point.
+    -Z_MAX_NEG <= z <= Z_MAX_POS.  The first z in array order outside that
+    domain raises DomainError if it is NaN or infinite and AccuracyError
+    otherwise.  Inside it, AccuracyError names the first z > 0 where the
+    series overflows float64 (rapid growth at small alpha).
     """
     if isinstance(z, (float, int)) or np.ndim(z) == 0:
         z = float(z)
         if not -Z_MAX_NEG <= z <= Z_MAX_POS:  # also NaN
-            _check_domain(z, z)
+            _check_domain(z)
         # the contour branch skips the arrays; E[1,1] is left to _eval_masked
         if z < 0.0 and (p.alpha != 1.0 or p.beta != 1.0):
             return _integral_neg(p.alpha, p.beta, -z)
         return float(_eval_masked(p.alpha, p.beta, np.array([z]))[0])
     arr = np.asarray(z, dtype=float)
     flat = arr.ravel()
-    if flat.size:
-        _check_domain(flat.min(), flat.max())
+    inside = (flat >= -Z_MAX_NEG) & (flat <= Z_MAX_POS)  # False at NaN
+    if not inside.all():
+        _check_domain(flat[inside.argmin()])
     return _eval_masked(p.alpha, p.beta, flat).reshape(arr.shape)
 
 

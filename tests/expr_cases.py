@@ -36,6 +36,14 @@ PRECEDENCE_CASES = [
     ("t", "t", 3.5, 3.5),
     ("t^2-t", "t", 3.0, 6.0),
     ("pow(t,2)+1", "t", 2.0, 5.0),
+    # unary minus beside every binary operator
+    ("2*-3^2", "t", 0.0, -18.0),
+    ("-2^-2", "t", 0.0, -0.25),
+    ("2^-3*4", "t", 0.0, 0.5),
+    ("2--3", "t", 0.0, 5.0),
+    ("-2*-3", "t", 0.0, 6.0),
+    ("8/-2/2", "t", 0.0, -2.0),
+    ("-t^2", "t", 3.0, -9.0),
 ]
 
 

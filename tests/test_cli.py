@@ -102,6 +102,17 @@ class TestStrain:
         exact = 0.5 * t - 0.25 * (1 - np.exp(-t / 0.5))
         assert np.max(np.abs(v - exact)) < 5e-4
 
+    @pytest.mark.parametrize("name,src", [("zero", "0"), ("unit-step", "1"), ("ramp", "t")])
+    def test_builtin_equals_its_expression(self, capsys, name, src):
+        base = [
+            "strain", "--alpha", "0.7", "--eta", "1", "--e-mod", "2",
+            "--t-end", "3", "--n", "64",
+        ]
+        assert run(base + ["--stress-builtin", name]) == 0
+        builtin = capsys.readouterr()
+        assert run(base + ["--stress-expr", src]) == 0
+        assert capsys.readouterr() == builtin
+
     def test_stress_expr(self, capsys):
         assert run([
             "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",

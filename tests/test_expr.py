@@ -58,6 +58,12 @@ class TestParseErrors:
             parse("1 @ 2", "t")
         assert exc.value.position == 2
 
+    def test_whitespace_separates_tokens(self):
+        assert parse("\t1 +\n2 ", "t") == parse("1+2", "t")
+        with pytest.raises(ParseError) as exc:
+            parse("\t\t@", "t")
+        assert exc.value.position == 2
+
     def test_wrong_arity(self):
         with pytest.raises(ParseError):
             parse("pow(2)", "t")

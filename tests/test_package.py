@@ -17,6 +17,11 @@ def test_all_exports_resolve():
         assert getattr(fracvoigt, name) is not None
 
 
+def test_parse_error_is_a_library_error():
+    assert issubclass(fracvoigt.ParseError, fracvoigt.FracvoigtError)
+    assert issubclass(fracvoigt.ParseError, ValueError)
+
+
 def test_import_does_not_load_scipy():
     # the runtime needs only numpy; a fresh interpreter shows what the
     # import itself pulls in

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvoigt.errors import AccuracyError
+from fracvoigt.errors import AccuracyError, DomainError
 from fracvoigt.fracops import Grid, Signal
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T
 from fracvoigt.special import MLParams, ml_eval
@@ -162,16 +162,28 @@ def negative_axis_cases(draw):
 
 @st.composite
 def real_axis_cases(draw):
-    """(alpha, beta, z): a negative-axis case, or, one case in two, points
-    z in (0, 30] at 0 < alpha <= 1, the series' whole domain, where fast
-    growth at small alpha raises."""
-    if draw(st.booleans()):
-        alpha, beta, x = draw(negative_axis_cases())
+    """(alpha, beta, z), one kind in three: a negative-axis case; points z
+    in (0, 30] at 0 < alpha <= 1, the series' whole domain, where fast
+    growth at small alpha raises; or a negative-axis case with one to three
+    points outside the domain (+-inf, NaN, z < -100, z > 30) inserted."""
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        alpha = draw(st.floats(0.02, 1.0))
+        beta = draw(st.floats(0.05, 8.0))
+        point = st.floats(0.0, 30.0, exclude_min=True)
+        return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
+    alpha, beta, x = draw(negative_axis_cases())
+    if kind == 0:
         return alpha, beta, -x
-    alpha = draw(st.floats(0.02, 1.0))
-    beta = draw(st.floats(0.05, 8.0))
-    point = st.floats(0.0, 30.0, exclude_min=True)
-    return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
+    z = list(-x)
+    outside = st.one_of(
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+        st.floats(max_value=-100.0, exclude_max=True),
+        st.floats(min_value=30.0, exclude_min=True),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        z.insert(draw(st.integers(0, len(z))), draw(outside))
+    return alpha, beta, np.array(z)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,9 +193,10 @@ def test_ml_eval_array_equals_scalar_loop(case):
     p = MLParams(alpha, beta)
     try:
         expected = [ml_eval(p, float(v)) for v in z]
-    except AccuracyError as exc:  # the array call names the same point
-        with pytest.raises(AccuracyError) as info:
+    except (AccuracyError, DomainError) as exc:  # the array call names the same point
+        with pytest.raises(type(exc)) as info:
             ml_eval(p, z)
+        assert type(info.value) is type(exc)
         assert str(info.value) == str(exc)
         return
     assert ml_eval(p, z).tolist() == expected
