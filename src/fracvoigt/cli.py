@@ -5,27 +5,35 @@ Subcommands: ml (function values), creep (creep-function curves), strain
 solve of the linear model), solve (nonlinear fixed-point solve), check
 (numerical screening of the nonlinear existence hypotheses).
 
+One table, _COMMANDS, states each subcommand once: its help line, its flag
+groups in help order, the help of its -o flag and its handler.  A handler
+returns its output lines (CSV rows from a generator, never held as text)
+and a non-convergence warning or None.  run() alone writes: it opens -o,
+only once the computation succeeded, or takes stdout, writes the lines and
+then prints the warning.
+
 Curves are written as CSV with header ``t,value``, one row per grid point
 at full round-trip precision, followed by ``#``-prefixed trailer comments
-carrying solver metadata.  Exit codes: 0 success, 1 solver did not converge
-(output is still written, flagged in the trailer), 2 usage error, 3 I/O
-error.  Set FRACVOIGT_LOG=debug|info|warning for logging verbosity.
+carrying solver metadata.  Exit codes: 0 success, 1 exactly when a
+non-convergence warning is printed (the output is still written, flagged
+in the trailer), 2 usage error, 3 I/O error.  Set
+FRACVOIGT_LOG=debug|info|warning for logging verbosity.
 
 Flag values are checked by the library types they build; run() names the
 flag whose field leads a DomainError (``--eta must be positive``).  The CLI
 itself checks only the --stress-csv format and the MAX_N and MAX_ITER
-caps on --n and --max-iter.
+caps on --n and --max-iter.  numpy's floating-point warnings are off while
+a subcommand runs: the library's finiteness checks report instead.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import math
 import os
 import sys
-from typing import IO, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +69,12 @@ class UsageError(Exception):
     """Bad flag combination or value; exits with code 2."""
 
 
+def _add_ml_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, required=True, help="first parameter, in (0, 1]")
+    p.add_argument("--beta", type=float, default=1.0, help="second parameter, > 0 (default 1)")
+    p.add_argument("--z", type=float, required=True, help="real argument")
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, required=True, help="fractional order in (0, 1]")
     p.add_argument("--eta", type=float, required=True, help="viscosity coefficient > 0")
@@ -75,9 +89,12 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8, help="sup-norm stopping tolerance")
     p.add_argument(
-        "--max-iter", type=int, default=200, help=f"iteration cap, at most {MAX_ITER}"
+        "--tol", type=float, default=SolverConfig.tol, help="sup-norm stopping tolerance"
+    )
+    p.add_argument(
+        "--max-iter", type=int, default=SolverConfig.max_iter,
+        help=f"iteration cap, at most {MAX_ITER}",
     )
 
 
@@ -92,6 +109,16 @@ def _add_stress_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_damping_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--damping", type=float, default=1.0, help="iteration damping in (0, 1]")
+
+
+def _add_law_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--sigma-expr", required=True, help="stress-strain law sigma(eps) as an expression in eps"
+    )
+
+
 _EXPR_HELP = (
     "expression syntax: numbers, one free variable (t for stress histories, "
     "eps for laws), + - * / ^ with ^ right-associative and binding tighter "
@@ -101,57 +128,6 @@ _EXPR_HELP = (
     "then #-prefixed trailer comments with solver metadata. Exit codes: "
     "0 ok, 1 solver did not converge, 2 usage error, 3 i/o error."
 )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fracvoigt",
-        description="Linear and nonlinear fractional Voigt creep models.",
-        epilog=_EXPR_HELP,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ml = sub.add_parser("ml", help="evaluate the two-parameter Mittag-Leffler function")
-    p_ml.add_argument("--alpha", type=float, required=True, help="first parameter, in (0, 1]")
-    p_ml.add_argument("--beta", type=float, default=1.0, help="second parameter, > 0 (default 1)")
-    p_ml.add_argument("--z", type=float, required=True, help="real argument")
-    p_ml.add_argument("-o", "--output", help="write the value to a file instead of stdout")
-
-    p_creep = sub.add_parser("creep", help="tabulate the creep function")
-    _add_model_flags(p_creep)
-    _add_grid_flags(p_creep)
-    p_creep.add_argument("-o", "--output", help="output CSV path (default stdout)")
-
-    p_strain = sub.add_parser("strain", help="strain response to a stress history")
-    _add_model_flags(p_strain)
-    _add_grid_flags(p_strain)
-    _add_stress_flags(p_strain)
-    p_strain.add_argument("-o", "--output", help="output CSV path (default stdout)")
-
-    p_pic = sub.add_parser("picard", help="linear solve by successive approximation")
-    _add_model_flags(p_pic)
-    _add_grid_flags(p_pic)
-    _add_solver_flags(p_pic)
-    _add_stress_flags(p_pic)
-    p_pic.add_argument("-o", "--output", help="output CSV path (default stdout)")
-
-    p_solve = sub.add_parser("solve", help="nonlinear fixed-point solve")
-    _add_model_flags(p_solve)
-    _add_grid_flags(p_solve)
-    _add_solver_flags(p_solve)
-    p_solve.add_argument("--damping", type=float, default=1.0, help="iteration damping in (0, 1]")
-    p_solve.add_argument(
-        "--sigma-expr", required=True, help="stress-strain law sigma(eps) as an expression in eps"
-    )
-    p_solve.add_argument("-o", "--output", help="output CSV path (default stdout)")
-
-    p_check = sub.add_parser("check", help="screen a law against the existence hypotheses")
-    p_check.add_argument(
-        "--sigma-expr", required=True, help="stress-strain law sigma(eps) as an expression in eps"
-    )
-    p_check.add_argument("-o", "--output", help="write the report to a file instead of stdout")
-
-    return parser
 
 
 def _require(cond: bool, message: str) -> None:
@@ -203,40 +179,22 @@ def _read_stress_csv(path: str) -> Signal:
     return Signal(Grid(t_end=float(t[-1]), n=len(t) - 1), f)
 
 
-def _stress_signal(args: argparse.Namespace, grid: Grid | None) -> Signal:
+def _stress_signal(args: argparse.Namespace) -> Signal:
+    """The stress history of --stress-csv, or of --stress-expr or
+    --stress-builtin on the --t-end/--n grid; warns on stderr when it does
+    not start from zero."""
     if args.stress_csv is not None:
-        sig = _read_stress_csv(args.stress_csv)
-        if args.t_end is not None and not math.isclose(args.t_end, sig.grid.t_end):
+        stress = _read_stress_csv(args.stress_csv)
+        if args.t_end is not None and not math.isclose(args.t_end, stress.grid.t_end):
             raise UsageError("--t-end conflicts with the grid of --stress-csv")
-        if args.n is not None and args.n != sig.grid.n:
+        if args.n is not None and args.n != stress.grid.n:
             raise UsageError("--n conflicts with the grid of --stress-csv")
-        return sig
-    assert grid is not None
-    src = args.stress_expr
-    if src is None:
-        src = STRESS_BUILTINS[args.stress_builtin]
-    return Signal(grid, expr.evaluate(expr.parse(src, "t"), grid.points))
-
-
-@contextlib.contextmanager
-def _output(path: str | None) -> Iterator[IO[str]]:
-    """The -o file, opened for writing and closed on exit, or stdout."""
-    if path is None:
-        yield sys.stdout
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-
-
-def _write_csv(out: IO[str], grid: Grid, values: np.ndarray, trailer: list[str]) -> None:
-    out.write("t,value\n")
-    for t, v in zip(grid.points, values):
-        out.write(f"{float(t)!r},{float(v)!r}\n")
-    for line in trailer:
-        out.write(f"# {line}\n")
-
-
-def _warn_nonzero_initial_stress(stress: Signal) -> None:
+    else:
+        grid = _grid(args)
+        src = args.stress_expr
+        if src is None:
+            src = STRESS_BUILTINS[args.stress_builtin]
+        stress = Signal(grid, expr.evaluate(expr.parse(src, "t"), grid.points))
     s0 = float(stress.values[0])
     if s0 != 0.0:
         print(
@@ -244,41 +202,41 @@ def _warn_nonzero_initial_stress(stress: Signal) -> None:
             "history starting from rest (zero initial stress)",
             file=sys.stderr,
         )
+    return stress
 
 
-def _cmd_ml(args: argparse.Namespace) -> int:
-    value = ml_eval(MLParams(args.alpha, args.beta), args.z)
-    with _output(args.output) as out:
-        out.write(f"{value!r}\n")
-    return 0
+# What a handler returns: its output lines and a non-convergence warning or None.
+_Output = tuple[Iterable[str], "str | None"]
 
 
-def _cmd_creep(args: argparse.Namespace) -> int:
+def _csv_lines(grid: Grid, values: np.ndarray, trailer: Sequence[str] = ()) -> Iterator[str]:
+    yield "t,value\n"
+    for t, v in zip(grid.points, values):
+        yield f"{float(t)!r},{float(v)!r}\n"
+    for line in trailer:
+        yield f"# {line}\n"
+
+
+def _cmd_ml(args: argparse.Namespace) -> _Output:
+    return [f"{ml_eval(MLParams(args.alpha, args.beta), args.z)!r}\n"], None
+
+
+def _cmd_creep(args: argparse.Namespace) -> _Output:
     params = _model_params(args)
     grid = _grid(args)
-    values = creep_function(params, grid.points)
-    with _output(args.output) as out:
-        _write_csv(out, grid, values, [])
-    return 0
+    return _csv_lines(grid, creep_function(params, grid.points)), None
 
 
-def _cmd_strain(args: argparse.Namespace) -> int:
-    params = _model_params(args)
-    grid = None if args.stress_csv is not None else _grid(args)
-    stress = _stress_signal(args, grid)
-    _warn_nonzero_initial_stress(stress)
-    strain = linear_strain(params, stress)
-    with _output(args.output) as out:
-        _write_csv(out, strain.grid, strain.values, [])
-    return 0
+def _cmd_strain(args: argparse.Namespace) -> _Output:
+    strain = linear_strain(_model_params(args), _stress_signal(args))
+    return _csv_lines(strain.grid, strain.values), None
 
 
-def _write_solution(
-    args: argparse.Namespace, result: PicardResult, what: str,
-    extra: Sequence[str] = (), notes: Sequence[str] = (),
-) -> int:
-    """Write a solver result with its trailer; warn and return 1 when the
-    iteration did not converge."""
+def _solution(
+    result: PicardResult, what: str, extra: Sequence[str] = (), notes: Sequence[str] = ()
+) -> _Output:
+    """A solver result with its trailer, and the warning when the iteration
+    did not converge."""
     trailer = [
         f"iterations={result.iterations}",
         f"final_diff={result.final_diff!r}",
@@ -286,36 +244,28 @@ def _write_solution(
         f"converged={'true' if result.converged else 'false'}",
         *notes,
     ]
-    with _output(args.output) as out:
-        _write_csv(out, result.solution.grid, result.solution.values, trailer)
-    if result.converged:
-        return 0
-    print(
-        f"warning: {what} did not converge in {result.iterations} iterations "
-        f"(final diff {result.final_diff:.3e})",
-        file=sys.stderr,
+    warning = None if result.converged else (
+        f"{what} did not converge in {result.iterations} iterations "
+        f"(final diff {result.final_diff:.3e})"
     )
-    return 1
+    return _csv_lines(result.solution.grid, result.solution.values, trailer), warning
 
 
-def _cmd_picard(args: argparse.Namespace) -> int:
+def _cmd_picard(args: argparse.Namespace) -> _Output:
     params = _model_params(args)
     cfg = _solver_config(args)
-    grid = None if args.stress_csv is not None else _grid(args)
-    stress = _stress_signal(args, grid)
-    _warn_nonzero_initial_stress(stress)
-    return _write_solution(args, picard_linear(params, stress, cfg), "picard")
+    return _solution(picard_linear(params, _stress_signal(args), cfg), "picard")
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> _Output:
     params = _model_params(args)
     cfg = _solver_config(args)
     grid = _grid(args)
     law = ConstitutiveLaw.from_expression(args.sigma_expr)
     result = solve_nonlinear(params, law, grid, cfg, damping=args.damping)
     res = residual(params, law, result.solution)
-    return _write_solution(
-        args, result, "fixed-point iteration",
+    return _solution(
+        result, "fixed-point iteration",
         extra=[f"residual={res!r}"],
         notes=[
             "note: fixed-point convergence is empirical; existence of a solution "
@@ -324,7 +274,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> _Output:
     law = ConstitutiveLaw.from_expression(args.sigma_expr)
     report = check_hypotheses(law)
     lines = [
@@ -336,23 +286,47 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"verdict: {'consistent with the existence hypotheses' if report.verdict else 'hypotheses not satisfied'}",
         "note: threshold-based numerical probe, not a proof",
     ]
-    with _output(args.output) as out:
-        out.write("\n".join(lines) + "\n")
-    return 0
+    return [f"{line}\n" for line in lines], None
 
 
-_DISPATCH = {
-    "ml": _cmd_ml,
-    "creep": _cmd_creep,
-    "strain": _cmd_strain,
-    "picard": _cmd_picard,
-    "solve": _cmd_solve,
-    "check": _cmd_check,
+_CSV_OUTPUT = "output CSV path (default stdout)"
+_MODEL_GRID = (_add_model_flags, _add_grid_flags)
+
+# subcommand -> (help line, flag groups in help order, help of -o, handler)
+_COMMANDS = {
+    "ml": ("evaluate the two-parameter Mittag-Leffler function", (_add_ml_flags,),
+           "write the value to a file instead of stdout", _cmd_ml),
+    "creep": ("tabulate the creep function", _MODEL_GRID, _CSV_OUTPUT, _cmd_creep),
+    "strain": ("strain response to a stress history", (*_MODEL_GRID, _add_stress_flags),
+               _CSV_OUTPUT, _cmd_strain),
+    "picard": ("linear solve by successive approximation",
+               (*_MODEL_GRID, _add_solver_flags, _add_stress_flags), _CSV_OUTPUT, _cmd_picard),
+    "solve": ("nonlinear fixed-point solve",
+              (*_MODEL_GRID, _add_solver_flags, _add_damping_flag, _add_law_flag),
+              _CSV_OUTPUT, _cmd_solve),
+    "check": ("screen a law against the existence hypotheses", (_add_law_flag,),
+              "write the report to a file instead of stdout", _cmd_check),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fracvoigt",
+        description="Linear and nonlinear fractional Voigt creep models.",
+        epilog=_EXPR_HELP,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flag_groups, output_help, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for add_flags in flag_groups:
+            add_flags(p)
+        p.add_argument("-o", "--output", help=output_help)
+    return parser
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv, dispatch, and return the process exit code."""
+    """Parse argv, run the subcommand, write its output to -o or stdout,
+    and return the process exit code."""
     level = os.environ.get("FRACVOIGT_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     parser = build_parser()
@@ -361,8 +335,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     logger.info("dispatching %s", args.command)
+    _, _, _, handler = _COMMANDS[args.command]
     try:
-        return _DISPATCH[args.command](args)
+        with np.errstate(all="ignore"):  # covers the writes: CSV rows are made as written
+            lines, warning = handler(args)
+            if args.output is None:
+                sys.stdout.writelines(lines)
+            else:
+                with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(lines)
     except (UsageError, FracvoigtError) as exc:
         message = str(exc)
         field, _, rest = message.partition(" ")
@@ -373,4 +354,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-
+    if warning is None:
+        return 0
+    print(f"warning: {warning}", file=sys.stderr)
+    return 1

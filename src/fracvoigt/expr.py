@@ -14,7 +14,8 @@ syntax error.  One table, _PREC, holds these levels: the parser climbs it
 (precedence climbing; Norvell, "Parsing expressions by recursive descent",
 1999) and to_source takes its parentheses from it.  evaluate binds the
 variable to a float or to a whole array (numpy ufuncs, one pass over the
-tree).  Evaluation never returns NaN or infinity silently; any undefined or
+tree).  Evaluation never returns NaN or infinity silently: a numeric
+literal past the float range is a ParseError, and any undefined or
 non-finite intermediate raises EvaluationError naming the offending
 subexpression.
 """
@@ -157,7 +158,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if np.isinf(value):  # 1e-999 rounds to 0.0 and is accepted
+                raise ParseError(f"number {text!r} is too large for a float", pos)
+            return Num(value)
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")

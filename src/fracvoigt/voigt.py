@@ -44,7 +44,8 @@ class VoigtParams:
     """Material constants of the fractional Voigt element.
 
     tau = eta / e_mod is derived, never stored, so the retardation-time
-    invariant cannot be violated by construction.
+    invariant cannot be violated by construction; it must be positive and
+    finite, which eta and e_mod alone do not ensure.
     """
 
     eta: float
@@ -58,6 +59,10 @@ class VoigtParams:
             raise DomainError(f"e_mod must be positive, got {self.e_mod!r}")
         if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(
+                f"retardation time eta / e_mod must be positive and finite, got {self.tau!r}"
+            )
 
     @property
     def tau(self) -> float:

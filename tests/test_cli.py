@@ -89,6 +89,15 @@ class TestCreep:
             "-o", "/nonexistent-dir/creep.csv",
         ]) == 3
 
+    @pytest.mark.parametrize("eta,e_mod,tau", [("1e300", "1e-300", "inf"), ("1e-300", "1e300", "0.0")])
+    def test_retardation_time_out_of_range_exits_2(self, capsys, eta, e_mod, tau):
+        assert run(["creep", "--alpha", "0.5", "--eta", eta, "--e-mod", e_mod, "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: retardation time eta / e_mod must be positive and finite, got {tau}\n"
+        )
+
 
 class TestStrain:
     def test_builtin_ramp(self, capsys):
@@ -366,6 +375,61 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "decreasing: no" in out
         assert "hypotheses not satisfied" in out
+
+    def test_literal_past_float_range_exits_2(self, capsys):
+        assert run(["check", "--sigma-expr", "1e999"]) == 2
+        assert capsys.readouterr().err == (
+            "error: number '1e999' is too large for a float (at offset 0)\n"
+        )
+
+
+MODEL = ["--alpha", "0.5", "--eta", "1", "--e-mod", "2"]
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ml", "--alpha", "0.5", "--z", "-1"],
+            ["creep", *MODEL, "--n", "16"],
+            ["strain", *MODEL, "--n", "16", "--stress-builtin", "unit-step"],
+            ["picard", *MODEL, "--n", "16", "--stress-builtin", "ramp"],
+            ["solve", *MODEL, "--n", "16", "--sigma-expr", "1/(1+eps)"],
+            ["check", "--sigma-expr", "1/(1+eps)"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_file_gets_the_stdout_bytes(self, tmp_path, capsys, args):
+        assert run(args) == 0
+        stdout = capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(args + ["-o", str(out)]) == 0
+        assert out.read_bytes() == stdout.out.encode()
+        assert capsys.readouterr() == ("", stdout.err)
+
+    def test_unwritable_output_drops_the_convergence_warning(self, capsys):
+        assert run([
+            "solve", *MODEL, "--n", "16", "--sigma-expr", "1/(1+eps)", "--max-iter", "1",
+            "-o", "/nonexistent-dir/solve.csv",
+        ]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["strain", *MODEL, "--n", "64", "--stress-expr", "1e308*t"],
+            ["picard", "--alpha", "0.5", "--eta", "1e-300", "--e-mod", "1", "--n", "16",
+             "--stress-expr", "1e300*t"],
+        ],
+        ids=["strain-fft-overflow", "picard-divide-overflow"],
+    )
+    def test_overflow_reports_only_the_error(self, capsys, args):
+        # numpy warns on the way; the library's finiteness check reports
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "error: signal values must all be finite\n")
 
 
 class TestDeterminism:

@@ -70,6 +70,17 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("exp(1,2)", "t")
 
+    @pytest.mark.parametrize(
+        "src,offset", [("1e999", 0), ("-1e999", 1), ("sqrt(1e999)", 5), ("t*1e999", 2)]
+    )
+    def test_literal_past_float_range(self, src, offset):
+        with pytest.raises(ParseError, match="'1e999'") as exc:
+            parse(src, "t")
+        assert exc.value.position == offset
+
+    def test_literal_below_float_range_is_zero(self):
+        assert evaluate(parse("1e-999", "t"), 1.0) == 0.0
+
 
 class TestEvalErrors:
     def test_division_by_zero(self):

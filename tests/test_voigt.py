@@ -27,7 +27,9 @@ class TestVoigtParams:
 
     @pytest.mark.parametrize(
         "eta,e_mod,alpha",
-        [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.5)],
+        [(0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.5),
+         # tau = eta / e_mod overflows to inf or underflows to 0
+         (1e300, 1e-300, 0.5), (1e-300, 1e300, 0.5)],
     )
     def test_validation(self, eta, e_mod, alpha):
         with pytest.raises(DomainError):
