@@ -20,7 +20,9 @@ in the trailer), 2 usage error, 3 I/O error.  Set
 FRACVOIGT_LOG=debug|info|warning for logging verbosity.
 
 Flag values are checked by the library types they build; run() names the
-flag whose field leads a DomainError (``--eta must be positive``).  The CLI
+flag whose field leads a DomainError (``--eta must be positive``).  The
+model-range error leads with ``t / tau``, no flag: --t-end, --eta, --e-mod
+or a --stress-csv grid can each bring it into range.  The CLI
 itself checks only the --stress-csv format and the MAX_N and MAX_ITER
 caps on --n and --max-iter.  numpy's floating-point warnings are off while
 a subcommand runs: the library's finiteness checks report instead.

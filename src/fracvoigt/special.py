@@ -16,7 +16,8 @@ selector, ``_branch_masks``, splits the arguments over three branches:
   Garrappa, SIAM J. Numer. Anal. 53 (2015)).  The weights
   e^s s^(a-b) ds/dv do not depend on x, so they are built once per (a, b)
   and every x is then a short weighted sum of 1/(s^a + x).  Its error
-  does not grow with x: see _CONTOUR_N for the validated range.
+  does not grow with x, so the cap Z_MAX_NEG = 1e6 reaches the plateau of
+  the long-time creep regime: see _CONTOUR_N for the validated range.
 
 Every branch takes whole arrays, and E[1,1](z) is e^z for every z.  The
 order a lies in (0, 1], the range of the fractional Voigt models.
@@ -35,8 +36,10 @@ from .errors import AccuracyError, DomainError
 
 __all__ = ["MLParams", "ml_eval", "ml_one", "ml_deriv_sign_probe"]
 
-# Hard evaluation-domain caps for the real argument z.
-Z_MAX_NEG = 100.0
+# Hard evaluation-domain caps for the real argument z.  Z_MAX_NEG keeps the
+# contour rule inside its validated range (_CONTOUR_N); its sum flushes to 0
+# past x ~ 1e154, where d * d overflows, and turns NaN near x = 1.7e308.
+Z_MAX_NEG = 1e6
 Z_MAX_POS = 30.0
 
 _SERIES_MAX_TERMS = 8000
@@ -46,13 +49,17 @@ _SERIES_BLOCK = 64  # terms summed per step; divides _SERIES_MAX_TERMS
 # k = 0.._CONTOUR_N (the mirror half is the complex conjugate).  With the
 # cut of s^a mapped to Im v = 1, the discretization error is ~e^(-2 pi/h),
 # the truncation error ~e^(mu (1 - (N h)^2)) and the rounding ~eps e^mu.
-# The validated range is the whole negative axis down to the cap, x <= 100,
-# for every 0 < a <= 1.  Against adaptive mpmath quadrature the worst
+# The validated range is the whole negative axis down to the cap,
+# x <= Z_MAX_NEG = 1e6, for every 0 < a <= 1.  Against adaptive mpmath
+# quadrature the worst
 # absolute-or-relative error is 1.5e-13 over 300 random points with
 # 0.001 <= a < 1, 0.01 <= b <= 10 and 0 < x <= 100 (at b = 6.9 near
 # x = 0), and 1.6e-14 for a <= 0.01 at x in {1.5, 10, 100}; at a = 1
 # against mpmath's e^(-x) 1F1(b-1; b; x) / Gamma(b) it is 1.5e-13 over 680
-# points with 0.01 <= b <= 1e6 (again at b = 6.9 near x = 0).  A small mu
+# points with 0.01 <= b <= 1e6 (again at b = 6.9 near x = 0).  Past x = 100
+# it is 3.0e-16 over the 57 frozen test_special rows at x in {150, 3e4, 1e6}
+# (a in {0.3, 0.5, 0.75, 0.9} against tests/oracles.ml_ref, a = 1 against
+# 1F1, b in {a, 1, a+1, a+2}).  A small mu
 # keeps the rounding noise of the h = 1e-3 third differences in the
 # complete-monotonicity probe near 6e-7 (it was 5e-6 at N = 18, mu = 5).  For b > _CONTOUR_MU the parabola
 # crosses the real axis at b instead, the saddle of e^s s^-b; at mu = 3.25
@@ -100,7 +107,9 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     The terms z^n / Gamma(a n + b) are positive, so the value is the running
     sum, taken _SERIES_BLOCK terms at a time: one cumsum down each column
     from the total carried over.  A point stops at the first term t with
-    t <= 1e-16 * total and t below the term before it.  A term past e^709,
+    t <= 1e-16 * total once the terms fall: ln t below the ln of the term
+    before it, so terms that underflow to 0 before they peak (1/Gamma(b)
+    underflows at b > 171.6) do not stop it.  A term past e^709,
     an infinite total or no stop within _SERIES_MAX_TERMS terms raises
     AccuracyError for the first such point in array order.
     """
@@ -109,7 +118,7 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     failed = np.zeros(z.size, dtype=np.int8)  # 1 term, 2 total, 3 no stop
     live = np.arange(z.size)
     total = np.zeros((1, z.size))
-    prev = np.full((1, z.size), np.inf)
+    prev = np.full((1, z.size), -np.inf)  # ln of the term before; term 0 never stops
     for block in range(_SERIES_MAX_TERMS // _SERIES_BLOCK):
         n = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
         ln_t = n[:, None] * ln_z[live] - _series_lgamma(alpha, beta, block)
@@ -118,14 +127,14 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             sums = np.cumsum(np.vstack((total, t)), axis=0)[1:]
         big = ln_t > 709.0
         bad = big | np.isinf(sums)
-        stop = bad | (t <= 1e-16 * sums) & (t < np.vstack((prev, t[:-1])))
+        stop = bad | (t <= 1e-16 * sums) & (ln_t < np.vstack((prev, ln_t[:-1])))
         first = stop.argmax(axis=0)
         done = stop.any(axis=0)
         cols = np.flatnonzero(done)
         rows = first[cols]
         value[live[cols]] = sums[rows, cols]
         failed[live[cols]] = np.where(big[rows, cols], 1, 2) * bad[rows, cols]
-        live, total, prev = live[~done], sums[-1:, ~done], t[-1:, ~done]
+        live, total, prev = live[~done], sums[-1:, ~done], ln_t[-1:, ~done]
         if not live.size:
             break
     failed[live] = 3
@@ -174,7 +183,7 @@ def _integral_neg(alpha: float, beta: float, x):
     on the line Im v = 1 of the branch point, so the error bound is the
     same.  A larger x only flattens the integrand, so the error does not
     grow with x: it stays below 1e-14 out to x = 1e8, past the cap
-    Z_MAX_NEG.
+    Z_MAX_NEG = 1e6.
     """
     total = 0.0
     for p, q, gr, gi in _contour_nodes(alpha, beta):

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .fracops import Signal, _kernel_integral, ml_kernel_convolve, rl_integral
+from .fracops import Signal, _kernel_integral, _model_arg, ml_kernel_convolve, rl_integral
 from .special import ml_one
 
 __all__ = [
@@ -128,7 +128,7 @@ def creep_function(params: VoigtParams, t):
     t = _creep_times(t)
     tau = params.tau
     a = params.alpha
-    return (tau / params.eta) ** a * (1.0 - ml_one(a, -((t / tau) ** a)))
+    return (tau / params.eta) ** a * (1.0 - ml_one(a, _model_arg(a, tau, t)))
 
 
 def creep_function_alt(params: VoigtParams, t):
@@ -242,10 +242,14 @@ def picard_linear(
     not raised (both are _fixed_point's).
     """
     a = params.alpha
-    base = rl_integral(a, stress).values / params.eta**a
+    _model_arg(a, params.tau, stress.grid.t_end)  # the range rule of every operator
     tau_a = params.tau**a
-    return _fixed_point(
-        lambda eps: Signal(stress.grid, base - rl_integral(a, eps).values / tau_a),
-        Signal(stress.grid, base),
-        cfg or SolverConfig(),
-    )
+    try:  # past the range rule only Signal's finiteness check can fail
+        base = rl_integral(a, stress).values / params.eta**a
+        return _fixed_point(
+            lambda eps: Signal(stress.grid, base - rl_integral(a, eps).values / tau_a),
+            Signal(stress.grid, base),
+            cfg or SolverConfig(),
+        )
+    except DomainError:
+        raise DomainError("picard iterates overflow float64") from None

@@ -53,7 +53,10 @@ class TestMl:
         assert "error: --alpha must lie in (0, 1], got 1.5" in capsys.readouterr().err
 
     def test_out_of_domain_z_exits_2(self, capsys):
-        assert run(["ml", "--alpha", "0.5", "--z", "-500"]) == 2
+        assert run(["ml", "--alpha", "0.5", "--z", "-2000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: z=-2000000.0 outside the supported domain [-1e+06, 30]\n"
+        )
 
     def test_zero_argument_at_large_beta(self, capsys):
         # 1/Gamma(200) underflows to 0; math.gamma(200) alone would overflow
@@ -418,18 +421,59 @@ class TestOutput:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["strain", *MODEL, "--n", "64", "--stress-expr", "1e308*t"],
+             "strain overflows float64"),
+            # (t_end / tau)^0.5 = 1e150: the model-range rule reports first
+            (["picard", "--alpha", "0.5", "--eta", "1e-300", "--e-mod", "1", "--n", "16",
+              "--stress-expr", "1e300*t"],
+             "t / tau = 1e+300 is past 10^12, its largest supported value at alpha = 0.5 "
+             "(tau = eta / e_mod)"),
+            # in range, but each sweep multiplies the iterate by about (h / tau)^0.5 = 122
+            (["picard", *MODEL, "--t-end", "30000", "--n", "4", "--stress-builtin", "ramp"],
+             "picard iterates overflow float64"),
+        ],
+        ids=["strain-fft-overflow", "picard-divide-overflow", "picard-iterates-overflow"],
+    )
+    def test_overflow_reports_only_the_error(self, capsys, args, message):
+        # numpy warns on the way; the operator that overflowed reports
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+class TestModelRange:
+    @pytest.mark.parametrize(
         "args",
         [
-            ["strain", *MODEL, "--n", "64", "--stress-expr", "1e308*t"],
-            ["picard", "--alpha", "0.5", "--eta", "1e-300", "--e-mod", "1", "--n", "16",
-             "--stress-expr", "1e300*t"],
+            ["creep"],
+            ["strain", "--stress-builtin", "ramp"],
+            ["picard", "--stress-builtin", "ramp"],
+            ["solve", "--sigma-expr", "1/(1+eps)"],
         ],
-        ids=["strain-fft-overflow", "picard-divide-overflow"],
+        ids=lambda args: args[0],
     )
-    def test_overflow_reports_only_the_error(self, capsys, args):
-        # numpy warns on the way; the library's finiteness check reports
-        assert run(args) == 2
-        assert capsys.readouterr() == ("", "error: signal values must all be finite\n")
+    def test_out_of_range_model_gets_one_message(self, capsys, args):
+        # tau = 1e-310 is positive and finite, but t / tau overflows; the
+        # message leads with t / tau, not a flag, since --t-end, --eta,
+        # --e-mod or the --stress-csv grid can each bring it into range
+        flags = ["--alpha", "0.5", "--eta", "1e-160", "--e-mod", "1e150", "--n", "4"]
+        assert run([args[0], *flags, *args[1:]]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: t / tau = inf is past 10^12, its largest supported value at alpha = 0.5 "
+            "(tau = eta / e_mod)\n"
+        ))
+
+    @pytest.mark.parametrize(
+        "args",
+        [["creep"], ["strain", "--stress-builtin", "unit-step"], ["solve", "--sigma-expr", "1/(1+eps)"]],
+        ids=lambda args: args[0],
+    )
+    def test_long_time_window_runs(self, capsys, args):
+        # (t_end / tau)^0.5 = 245: z reaches -245 in the long-time range
+        assert run([args[0], *MODEL, "--t-end", "30000", "--n", "4", *args[1:]]) == 0
+        rows, _ = read_csv_text(capsys.readouterr().out)
+        assert len(rows) == 5 and rows[-1][0] == 30000.0
 
 
 class TestDeterminism:

@@ -179,6 +179,24 @@ class TestMlKernelConvolve:
         exact /= p.eta**alpha
         assert np.max(np.abs(ramp - exact)) <= 1e-13 * np.max(exact)
 
+    @pytest.mark.parametrize("alpha,bound", [(0.5, 2e-8), (0.9, 2.5e-9)])
+    def test_rate_where_h_exceeds_tau(self, alpha, bound):
+        # tau = 1e-6 on [0, 1], so h / tau >= 244: the kernel's algebraic
+        # tail against the interpolation error of t^2 in the last cell gives
+        # an error near h^2 (tau/h)^a, which falls as h^(2-a), not h^2.
+        # Measured at n = 1024: 1.33e-8 (a = 0.5) and 1.70e-9 (a = 0.9) of
+        # the largest strain, with orders 1.50-1.52 and 1.10
+        p = VoigtParams(eta=1.0, e_mod=1e6, alpha=alpha)
+        errors = []
+        for n in (64, 256, 1024):
+            t = Grid(1.0, n).points
+            exact = 2.0 * _kernel_integral(alpha, p.tau, 3, t) / p.eta**alpha  # k * t^2
+            got = ml_kernel_convolve(p, Signal(Grid(1.0, n), t**2)).values
+            errors.append(np.max(np.abs(got - exact)) / np.max(exact))
+        assert errors[-1] <= bound
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(math.log(coarse / fine, 4) - (2.0 - alpha)) <= 0.05
+
 
 def builder_weights(alpha, tau, h, n):
     """B and W of _kernel_weights, rebuilt from the formulas of the fracops

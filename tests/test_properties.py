@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fracvoigt.errors import AccuracyError, DomainError
 from fracvoigt.fracops import Grid, Signal
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T
-from fracvoigt.special import MLParams, ml_eval
+from fracvoigt.special import Z_MAX_NEG, MLParams, ml_eval
 from fracvoigt.voigt import (
     SolverConfig,
     VoigtParams,
@@ -25,6 +25,9 @@ from fracvoigt.voigt import (
 from test_fracops import builder_weights
 
 log_scale = st.floats(-2.0, 2.0).map(math.exp)
+# largest (t/tau)^alpha a test draws: t = x^(1/alpha) tau maps back to x
+# within a few ulp, which may land past the cap Z_MAX_NEG itself
+Z_REACH = Z_MAX_NEG * (1.0 - 1e-12)
 
 
 @st.composite
@@ -83,8 +86,12 @@ def test_apply_T_causal_and_nonnegative(case, law_src):
 def test_kernel_weights_positive(alpha, tau, v_max, n):
     # W_m and B_j integrate the positive kernel against a hat and a half
     # hat.  Their differences round to about eps m of the plateau, which
-    # the algebraic tail of k stays above for alpha <= 0.999; the
-    # exponential kernel of alpha = 1 falls below it past t/tau ~ 20.
+    # the algebraic tail of k stays above for alpha <= 0.999 while
+    # (t/tau)^alpha <= 99; the exponential kernel of alpha = 1 falls below
+    # it past t/tau ~ 20.  v_max stops at 99, not at Z_MAX_NEG: at n = 4096
+    # a weight <= 0 appears near (t/tau)^alpha = 3e4 at alpha = 0.999
+    # (fracops docstring), and the outputs stay exact to rounding there
+    # (test_step_strain_is_the_creep_function).
     b, w = builder_weights(alpha, tau, v_max ** (1.0 / alpha) * tau / n, n)
     assert np.all(b > 0.0) and np.all(w > 0.0)
 
@@ -94,7 +101,7 @@ def test_kernel_weights_positive(alpha, tau, v_max, n):
     alpha=st.floats(0.05, 1.0),
     eta=log_scale,
     e_mod=log_scale,
-    v_max=st.floats(1e-3, 99.0),
+    v_max=st.floats(math.log(1e-3), math.log(Z_REACH)).map(math.exp),
 )
 def test_creep_monotone_and_bounded(alpha, eta, e_mod, v_max):
     p = VoigtParams(eta=eta, e_mod=e_mod, alpha=alpha)
@@ -105,6 +112,24 @@ def test_creep_monotone_and_bounded(alpha, eta, e_mod, v_max):
     assert np.all(c >= 0.0)
     assert np.all(np.diff(c) >= -1e-13 * plateau)
     assert np.all(c <= plateau * (1.0 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.1, 1.0),
+    eta=log_scale,
+    e_mod=log_scale,
+    v_max=st.floats(math.log(1e-3), math.log(Z_REACH)).map(math.exp),
+    n=st.integers(1, 4096),
+)
+def test_step_strain_is_the_creep_function(alpha, eta, e_mod, v_max, n):
+    # the rule is exact for a unit step, whose strain is the creep
+    # function, out to the cap: only rounding separates them
+    p = VoigtParams(eta=eta, e_mod=e_mod, alpha=alpha)
+    plateau = (p.tau / p.eta) ** alpha
+    g = Grid(v_max ** (1.0 / alpha) * p.tau, n)
+    strain = linear_strain(p, Signal(g, np.ones(n + 1))).values
+    assert np.max(np.abs(strain - creep_function(p, g.points))) <= 1e-13 * plateau
 
 
 @settings(max_examples=100, deadline=None)
@@ -151,12 +176,12 @@ def test_picard_approaches_linear_strain(alpha, eta, e_mod, ratio, ramp):
 
 @st.composite
 def negative_axis_cases(draw):
-    """(alpha, beta, x) with points x in [0, 100] (z = -x), the contour
-    rule's whole range; alpha = 1, the exponential case of the same rule,
-    in one case of five."""
+    """(alpha, beta, x) with points x in [0, Z_MAX_NEG] (z = -x), the
+    contour rule's whole range, half of them drawn from [0, 100]; alpha = 1,
+    the exponential case of the same rule, in one case of five."""
     alpha = 1.0 if draw(st.integers(0, 4)) == 0 else draw(st.floats(0.02, 0.999))
     beta = draw(st.floats(0.05, 8.0))
-    point = st.floats(0.0, 100.0)
+    point = st.one_of(st.floats(0.0, 100.0), st.floats(0.0, Z_MAX_NEG))
     return alpha, beta, np.array(draw(st.lists(point, min_size=1, max_size=24)))
 
 
@@ -165,7 +190,7 @@ def real_axis_cases(draw):
     """(alpha, beta, z), one kind in three: a negative-axis case; points z
     in (0, 30] at 0 < alpha <= 1, the series' whole domain, where fast
     growth at small alpha raises; or a negative-axis case with one to three
-    points outside the domain (+-inf, NaN, z < -100, z > 30) inserted."""
+    points outside the domain (+-inf, NaN, z < -Z_MAX_NEG, z > 30) inserted."""
     kind = draw(st.integers(0, 2))
     if kind == 1:
         alpha = draw(st.floats(0.02, 1.0))
@@ -178,7 +203,7 @@ def real_axis_cases(draw):
     z = list(-x)
     outside = st.one_of(
         st.sampled_from([math.inf, -math.inf, math.nan]),
-        st.floats(max_value=-100.0, exclude_max=True),
+        st.floats(max_value=-Z_MAX_NEG, exclude_max=True),
         st.floats(min_value=30.0, exclude_min=True),
     )
     for _ in range(draw(st.integers(1, 3))):
@@ -207,7 +232,7 @@ def test_ml_eval_array_equals_scalar_loop(case):
 def test_creep_array_matches_float_calls(case, eta, e_mod):
     alpha, _, x = case
     p = VoigtParams(eta=eta, e_mod=e_mod, alpha=alpha)
-    # (t/tau)^alpha = x up to rounding, kept clear of the cap z >= -100
-    t = np.minimum(x, 99.0) ** (1.0 / alpha) * p.tau
+    # (t/tau)^alpha = x up to rounding, kept clear of the cap
+    t = np.minimum(x, Z_REACH) ** (1.0 / alpha) * p.tau
     expected = [creep_function(p, float(v)) for v in t]
     np.testing.assert_allclose(creep_function(p, t), expected, rtol=1e-13, atol=0.0)

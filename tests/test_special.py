@@ -164,6 +164,67 @@ ORACLE_POINTS = [
     (1.0, 200.0, -3.0, 0.0),
     (1.0, 200.0, -50.0, 0.0),
     (1.0, 200.0, -100.0, 0.0),
+    # the long-time range x in {150, 3e4, 1e6} down to the cap Z_MAX_NEG, for
+    # the model's orders beta in {a, 1, a+1, a+2}: oracles.ml_ref for a < 1,
+    # and mpmath's e^(-x) 1F1(b-1; b; x) / Gamma(b) for a = 1, where ml_ref
+    # has no route past x = 140
+    (0.3, 0.3, -150.0, 1.0191818807088668e-05),
+    (0.3, 0.3, -30000.0, 2.567843764234525e-10),
+    (0.3, 0.3, -1000000.0, 2.3111468466554486e-13),
+    (0.3, 1.0, -150.0, 0.00511588274180232),
+    (0.3, 1.0, -30000.0, 2.5678938550335296e-05),
+    (0.3, 1.0, -1000000.0, 7.703827330424719e-07),
+    (0.3, 1.3, -150.0, 0.006632560781721318),
+    (0.3, 1.3, -30000.0, 3.333247736871499e-05),
+    (0.3, 1.3, -1000000.0, 9.99999229617267e-07),
+    (0.3, 2.3, -150.0, 0.006618085327436338),
+    (0.3, 2.3, -30000.0, 3.333211054462444e-05),
+    (0.3, 2.3, -1000000.0, 9.999988994537215e-07),
+    (0.5, 0.5, -150.0, 1.253671055749745e-05),
+    (0.5, 0.5, -30000.0, 3.134386570041335e-10),
+    (0.5, 0.5, -1000000.0, 2.82094791773455e-13),
+    (0.5, 1.0, -150.0, 0.003761180312247992),
+    (0.5, 1.0, -30000.0, 1.8806319441143922e-05),
+    (0.5, 1.0, -1000000.0, 5.641895835474742e-07),
+    (0.5, 1.5, -150.0, 0.00664159213125168),
+    (0.5, 1.5, -30000.0, 3.333270645601863e-05),
+    (0.5, 1.5, -1000000.0, 9.999994358104165e-07),
+    (0.5, 2.5, -150.0, 0.006616811663334922),
+    (0.5, 2.5, -30000.0, 3.333207961573957e-05),
+    (0.5, 2.5, -1000000.0, 9.99998871621833e-07),
+    (0.75, 0.75, -150.0, 9.32036395433099e-06),
+    (0.75, 0.75, -30000.0, 2.2986205833309323e-10),
+    (0.75, 0.75, -1000000.0, 2.0686217026541844e-13),
+    (0.75, 1.0, -150.0, 0.0018513841784833034),
+    (0.75, 1.0, -30000.0, 9.194168875776182e-06),
+    (0.75, 1.0, -1000000.0, 2.758159449252561e-07),
+    (0.75, 1.75, -150.0, 0.006654324105476778),
+    (0.75, 1.75, -30000.0, 3.333302686103748e-05),
+    (0.75, 1.75, -1000000.0, 9.99999724184055e-07),
+    (0.75, 2.75, -150.0, 0.006617800341291144),
+    (0.75, 2.75, -30000.0, 3.3332107506839137e-05),
+    (0.75, 2.75, -1000000.0, 9.999988967379128e-07),
+    (0.9, 0.9, -150.0, 4.299663011673733e-06),
+    (0.9, 0.9, -30000.0, 1.0512531926445103e-10),
+    (0.9, 0.9, -1000000.0, 9.460264421896728e-14),
+    (0.9, 1.0, -150.0, 0.0007086230236468581),
+    (0.9, 1.0, -30000.0, 3.5039836572260428e-06),
+    (0.9, 1.0, -1000000.0, 1.0511387487148291e-07),
+    (0.9, 1.9, -150.0, 0.006661942513175687),
+    (0.9, 1.9, -30000.0, 3.333321653387809e-05),
+    (0.9, 1.9, -1000000.0, 9.99999894886125e-07),
+    (0.9, 2.9, -150.0, 0.006620014475099779),
+    (0.9, 2.9, -30000.0, 3.3332165411394426e-05),
+    (0.9, 2.9, -1000000.0, 9.999989488632119e-07),
+    (1.0, 1.0, -150.0, 7.175095973164411e-66),
+    (1.0, 1.0, -30000.0, 0.0),
+    (1.0, 1.0, -1000000.0, 0.0),
+    (1.0, 2.0, -150.0, 0.006666666666666667),
+    (1.0, 2.0, -30000.0, 3.3333333333333335e-05),
+    (1.0, 2.0, -1000000.0, 1e-06),
+    (1.0, 3.0, -150.0, 0.006622222222222222),
+    (1.0, 3.0, -30000.0, 3.3332222222222224e-05),
+    (1.0, 3.0, -1000000.0, 9.99999e-07),
     # the series' whole domain z in (5, 30] (oracles._ml_series_mp), alpha in
     # {0.3, 0.5, 0.7, 0.9, 1} and beta in {a, 1, a+1, a+2}; None where
     # E ~ exp(z^(1/a)) / a overflows float64 (z^(1/a) > 700) and ml_eval
@@ -292,6 +353,19 @@ class TestDomain:
         with pytest.raises(AccuracyError):
             ml_eval(MLParams(0.5, 1.0), Z_MAX_POS + 1.0)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.1, 200.0), (0.3, 200.0), (0.2, 180.0)])
+    def test_series_past_gamma_underflow_raises(self, alpha, beta):
+        # 1/Gamma(beta) underflows, so the leading terms read 0 while they
+        # still rise; the largest terms are e^500185, e^77917 and e^294467
+        with pytest.raises(AccuracyError, match="series term overflow"):
+            ml_eval(MLParams(alpha, beta), 30.0)
+
+    def test_series_past_gamma_underflow_sums_its_peak(self):
+        # the terms of E[0.5,200](30) rise from e^-858 to a peak near e^-458
+        # (mpmath sum of 8000 terms at 80 digits)
+        got = ml_eval(MLParams(0.5, 200.0), 30.0)
+        assert abs(got - 1.8698395010155558e-197) <= 1e-12 * 1.8698395010155558e-197
+
     def test_fast_growth_raises(self):
         # E[0.25,1](30) ~ exp(30^4) overflows float64; an honest error beats
         # a silent inf
@@ -299,9 +373,12 @@ class TestDomain:
             ml_eval(MLParams(0.25, 1.0), 30.0)
 
     def test_boundary_arguments_supported(self):
-        # frozen oracle values at the domain edges
+        # frozen oracle values at the domain edges and at z = -100
         assert ml_eval(MLParams(0.5, 1.0), -100.0) == pytest.approx(
             0.005641613782989433, rel=1e-11
+        )
+        assert ml_eval(MLParams(0.5, 1.0), -Z_MAX_NEG) == pytest.approx(
+            5.641895835474742e-07, rel=1e-10
         )
         assert ml_eval(MLParams(0.9, 0.9), -100.0) == pytest.approx(
             9.785063588909692e-06, rel=1e-10
@@ -362,12 +439,13 @@ class TestInvariants:
 
 
 # (alpha, beta, z values); the z values cross every branch: the negative
-# axis from near 0 to the cap -100 (contour rule), z = 0 and z > 0 (series)
+# axis from near 0 to the cap -Z_MAX_NEG (contour rule), z = 0 and z > 0
+# (series)
 _BRANCH_CROSSING = [
-    (0.5, 0.5, [-100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
+    (0.5, 0.5, [-Z_MAX_NEG, -100.0, -40.0, -7.5, -6.0, -5.99, -2.0, -1e-3, 0.0, 1e-3, 2.0]),
     (0.3, 1.3, [-50.0, -3.0, -2.9, -0.5, 0.0, 0.7]),
     (1.0, 1.0, [-100.0, -3.0, 0.0, 2.5]),
-    (1.0, 0.4, [-100.0, -3.0, 0.0, 2.5]),
+    (1.0, 0.4, [-Z_MAX_NEG, -100.0, -3.0, 0.0, 2.5]),
 ]
 
 
@@ -461,9 +539,9 @@ class TestScalarFastPath:
             (float("inf"), DomainError, "z must be finite, got inf"),
             (-float("inf"), DomainError, "z must be finite, got -inf"),
             (np.float32("nan"), DomainError, "z must be finite, got nan"),
-            (-100.5, AccuracyError, "z=-100.5 outside the supported domain [-100, 30]"),
-            (30.25, AccuracyError, "z=30.25 outside the supported domain [-100, 30]"),
-            (-101, AccuracyError, "z=-101.0 outside the supported domain [-100, 30]"),
+            (-1000000.5, AccuracyError, "z=-1000000.5 outside the supported domain [-1e+06, 30]"),
+            (30.25, AccuracyError, "z=30.25 outside the supported domain [-1e+06, 30]"),
+            (-1000001, AccuracyError, "z=-1000001.0 outside the supported domain [-1e+06, 30]"),
         ],
     )
     def test_domain_messages(self, z, error, message):

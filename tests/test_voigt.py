@@ -7,6 +7,7 @@ import pytest
 
 from fracvoigt.errors import DomainError
 from fracvoigt.fracops import Grid, Signal, rl_integral
+from fracvoigt.nonlinear import ConstitutiveLaw, apply_T, residual, solve_nonlinear
 from fracvoigt.voigt import (
     PicardResult,
     SolverConfig,
@@ -252,3 +253,40 @@ class TestPicardLinear:
     def test_config_rejects_bool_max_iter(self):
         with pytest.raises(DomainError):
             SolverConfig(tol=1e-8, max_iter=True)
+
+
+class TestModelRange:
+    # alpha = 0.5 and tau = 1: (t / tau)^alpha <= 1e6 up to t = 1e12
+    P = VoigtParams(eta=1.0, e_mod=1.0, alpha=0.5)
+    MESSAGE = (
+        "t / tau = 2e+12 is past 10^12, its largest supported value at alpha = 0.5 "
+        "(tau = eta / e_mod)"
+    )
+
+    def test_every_entry_point_raises_one_error(self):
+        p, grid = self.P, Grid(2e12, 4)
+        step, law = Signal(grid, np.ones(5)), ConstitutiveLaw.from_expression("1/(1+eps)")
+        calls = [
+            lambda: creep_function(p, 2e12),
+            lambda: creep_function(p, grid.points),
+            lambda: creep_function_alt(p, 2e12),
+            lambda: creep_function_alt(p, grid.points),
+            lambda: linear_strain(p, step),
+            lambda: picard_linear(p, step),
+            lambda: solve_nonlinear(p, law, grid),
+            lambda: apply_T(p, law, step),
+            lambda: residual(p, law, step),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == self.MESSAGE
+
+    def test_the_cap_itself_is_in_range(self):
+        p, grid = self.P, Grid(1e12, 4)
+        plateau = (p.tau / p.eta) ** p.alpha
+        creep = creep_function(p, grid.points)
+        assert 0.0 < creep[-1] <= plateau
+        strain = linear_strain(p, Signal(grid, np.ones(5))).values
+        np.testing.assert_allclose(strain, creep, rtol=0.0, atol=1e-13 * plateau)
+        assert picard_linear(p, Signal(grid, np.zeros(5))).converged
