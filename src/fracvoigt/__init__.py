@@ -16,7 +16,6 @@ from .fracops import Grid, Signal, ml_kernel_convolve, rl_integral
 from .nonlinear import (
     ConstitutiveLaw,
     HypothesisReport,
-    ProbeConfig,
     apply_T,
     check_hypotheses,
     residual,
@@ -46,7 +45,6 @@ __all__ = [
     "MLParams",
     "ParseError",
     "PicardResult",
-    "ProbeConfig",
     "Signal",
     "SolverConfig",
     "VoigtParams",

@@ -131,7 +131,9 @@ def _kernel_integral(alpha: float, tau: float, nu: int, t):
     return t ** (alpha + nu - 1) * ml_eval(MLParams(alpha, alpha + nu), z)
 
 
-@lru_cache(maxsize=32)
+# an entry holds ~24 bytes per grid point; no caller keeps more than two
+# keys live (picard_linear's RL kernel and one ML kernel; a solve reuses one)
+@lru_cache(maxsize=2)
 def _kernel_weights(
     alpha: float, tau: float, h: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +180,10 @@ def rl_integral(alpha: float, f: Signal) -> Signal:
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"rl_integral requires 0 < alpha <= 1, got {alpha!r}")
     weights = _kernel_weights(alpha, math.inf, 1.0, f.grid.n)
-    return Signal(f.grid, f.grid.h**alpha * _pt_apply(weights, f.values))
+    try:
+        return Signal(f.grid, f.grid.h**alpha * _pt_apply(weights, f.values))
+    except DomainError:  # finite data, so the integral overflowed
+        raise DomainError("fractional integral overflows float64") from None
 
 
 def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:

@@ -18,8 +18,10 @@ Existence of a positive bounded solution is guaranteed for continuous,
 convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
 at infinity, but no contraction property comes with it: convergence of the
 iteration is empirical and reported honestly on the result, never presumed.
-check_hypotheses probes those structural conditions numerically; its
-verdict is a threshold-based sanity check, not a certificate.
+check_hypotheses probes those structural conditions numerically, on one
+fixed probe: 200 log-spaced strains on [1e-8, 1e8], compared to a
+tolerance of 1e-12.  Its verdict is a threshold-based sanity check, not a
+certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .voigt import PicardResult, SolverConfig, VoigtParams, _fixed_point
 
 __all__ = [
     "ConstitutiveLaw",
-    "ProbeConfig",
     "HypothesisReport",
     "apply_T",
     "solve_nonlinear",
@@ -51,9 +52,11 @@ __all__ = [
 # estimates so callers can apply their own judgement.
 E0_THRESH = 1e6
 EINF_THRESH = 1e-6
-# midpoints per law call in check_hypotheses: the default 200 samples take
-# one call, and memory stays bounded for any sample count
-_PAIRS_PER_CALL = 1 << 20
+# the probe of check_hypotheses: log-spaced strains on [low, high], compared to tol
+_PROBE_LOW = 1e-8
+_PROBE_HIGH = 1e8
+_PROBE_SAMPLES = 200
+_PROBE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -172,22 +175,6 @@ def residual(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> float:
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
-    eps_small: float = 1e-8
-    upper: float = 1e8
-    samples: int = 200
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.eps_small < self.upper):
-            raise DomainError("probe needs 0 < eps_small < upper")
-        if type(self.samples) is not int or self.samples < 3:  # rejects bool
-            raise DomainError(f"samples must be an integer >= 3, got {self.samples!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise DomainError(f"tol must be nonnegative, got {self.tol!r}")
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     """Numerical screening of the structural conditions under which a
     positive bounded solution is known to exist."""
@@ -200,35 +187,22 @@ class HypothesisReport:
     verdict: bool
 
 
-def check_hypotheses(
-    law: ConstitutiveLaw, probe: ProbeConfig | None = None
-) -> HypothesisReport:
-    """Sample sigma on a log-spaced set and test the structural hypotheses:
-    decreasing (no adjacent increase beyond tol), midpoint convexity over
-    all sampled pairs, sigma(0) > 0, and threshold checks on the secant
-    estimates sigma(e)/e at eps_small and at upper."""
-    if probe is None:
-        probe = ProbeConfig()
-    pts = np.geomspace(probe.eps_small, probe.upper, probe.samples)
+def check_hypotheses(law: ConstitutiveLaw) -> HypothesisReport:
+    """Sample sigma at 200 log-spaced strains on [1e-8, 1e8] and test the
+    structural hypotheses to a tolerance of 1e-12: decreasing, midpoint
+    convexity over all 19900 sampled pairs, sigma(0) > 0, and threshold
+    checks on the secant estimates sigma(e)/e at 1e-8 and at 1e8."""
+    pts = np.geomspace(_PROBE_LOW, _PROBE_HIGH, _PROBE_SAMPLES)  # exact endpoints
     vals = law.map_values(pts)
 
-    is_decreasing = bool(np.all(np.diff(vals) <= probe.tol))
-
-    # midpoint convexity over all pairs i < j, a block of rows per call
-    m = len(pts)
-    rows = max(1, _PAIRS_PER_CALL // m)
-    is_convex = True
-    for lo in range(0, m - 1, rows):
-        i, j = np.nonzero(np.arange(lo, min(lo + rows, m))[:, None] < np.arange(m))
-        i += lo
-        mids = law.map_values(0.5 * (pts[i] + pts[j]))
-        if np.any(mids > 0.5 * (vals[i] + vals[j]) + probe.tol):
-            is_convex = False
-            break
+    is_decreasing = bool(np.all(np.diff(vals) <= _PROBE_TOL))
+    i, j = np.triu_indices(_PROBE_SAMPLES, 1)  # every pair i < j, row by row
+    mids = law.map_values(0.5 * (pts[i] + pts[j]))
+    is_convex = not np.any(mids > 0.5 * (vals[i] + vals[j]) + _PROBE_TOL)
 
     sigma_at_zero = law(0.0)
-    e0 = law(probe.eps_small) / probe.eps_small
-    e_inf = law(probe.upper) / probe.upper
+    e0 = float(vals[0]) / _PROBE_LOW
+    e_inf = float(vals[-1]) / _PROBE_HIGH
     verdict = (
         is_decreasing
         and is_convex

@@ -17,6 +17,11 @@ Regenerate the frozen acceptance reference table with:
 Rows already present are kept byte for byte and only missing rows are
 computed, one worker process per CPU; delete the file first to recompute
 every row.
+
+The frozen positive-axis rows at large beta (tests/data/ml_positive_axis.csv,
+seed POSITIVE_AXIS_SEED) are regenerated, in one process, with:
+
+    python tests/oracles.py --positive-axis tests/data/ml_positive_axis.csv
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import csv
 import math
 import multiprocessing
 import os
+import random
 import sys
 
 import mpmath as mp
@@ -179,5 +185,58 @@ def regenerate_reference(path: str) -> None:
             writer.writerow(known[tuple(map(repr, triple))])
 
 
+POSITIVE_AXIS_SEED = 20161
+POSITIVE_AXIS_COUNT = 150
+
+
+def _positive_axis_points(seed: int = POSITIVE_AXIS_SEED, count: int = POSITIVE_AXIS_COUNT):
+    """Seeded (alpha, beta, z): alpha uniform in [0.2, 1], beta log-uniform
+    in [0.01, 1e3], z uniform in (0, 30]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = 0.2 + 0.8 * rng.random()
+        beta = 10.0 ** (-2.0 + 5.0 * rng.random())
+        z = 30.0 * (1.0 - rng.random())
+        yield alpha, beta, z
+
+
+def positive_axis_ref(alpha: float, beta: float, z: float) -> float | None:
+    """E[alpha,beta](z) for z > 0 by the series at 40 digits, or None where
+    the value overflows float64: where the largest term z^n / Gamma(a n + b)
+    passes e^709, found from ln t_n = n ln z - lgamma(a n + b), which is
+    concave in n, by walking n up to its peak, or where the sum does."""
+    with mp.workdps(40):
+        ln_z, a, b = mp.log(z), mp.mpf(alpha), mp.mpf(beta)
+        n, ln_t = 0, -mp.loggamma(b)
+        while True:
+            if ln_t > 709:
+                return None
+            rise = (n + 1) * ln_z - mp.loggamma(a * (n + 1) + b)
+            if rise <= ln_t:
+                break  # the peak
+            n, ln_t = n + 1, rise
+        total, n = mp.mpf(0), 0
+        while True:
+            t = mp.mpf(z) ** n * mp.rgamma(a * n + b)
+            total += t
+            if n > 0 and t < prev and t < mp.mpf("1e-35") * total:
+                break
+            prev, n = t, n + 1
+        value = float(total)
+    return None if math.isinf(value) else value
+
+
+def regenerate_positive_axis(path: str) -> None:
+    """Write the frozen positive-axis rows; value None marks overflow."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "beta", "z", "value"])
+        for alpha, beta, z in _positive_axis_points():
+            writer.writerow([repr(alpha), repr(beta), repr(z), repr(positive_axis_ref(alpha, beta, z))])
+
+
 if __name__ == "__main__":
-    regenerate_reference(sys.argv[1] if len(sys.argv) > 1 else "tests/data/ml_reference.csv")
+    if sys.argv[1:2] == ["--positive-axis"]:
+        regenerate_positive_axis(sys.argv[2] if len(sys.argv) > 2 else "tests/data/ml_positive_axis.csv")
+    else:
+        regenerate_reference(sys.argv[1] if len(sys.argv) > 1 else "tests/data/ml_reference.csv")

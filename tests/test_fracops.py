@@ -116,6 +116,13 @@ class TestRlIntegral:
         with pytest.raises(DomainError):
             rl_integral(alpha, unit_signal(4))
 
+    def test_overflow_names_the_integral(self):
+        # finite data whose integral overflows; the FFT warns on the way
+        f = Signal(Grid(4.0, 4), [0.0, 1e308, 1e308, 1e308, 1e308])
+        with np.errstate(all="ignore"), pytest.raises(DomainError) as info:
+            rl_integral(0.5, f)
+        assert str(info.value) == "fractional integral overflows float64"
+
 
 class TestMlKernelConvolve:
     def test_zero_stress(self):

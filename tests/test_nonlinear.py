@@ -12,7 +12,6 @@ from fracvoigt.fracops import Grid, Signal
 from fracvoigt.nonlinear import (
     ConstitutiveLaw,
     HypothesisReport,
-    ProbeConfig,
     apply_T,
     check_hypotheses,
     residual,
@@ -334,7 +333,7 @@ class TestCheckHypotheses:
     def test_concave_law_detected(self):
         # decreasing but concave on the probed range
         law = ConstitutiveLaw.from_callable(lambda e: 1e4 - e**2 if e < 100 else -e, "concave")
-        report = check_hypotheses(law, ProbeConfig(eps_small=1e-4, upper=10.0, samples=50))
+        report = check_hypotheses(law)
         assert not report.is_convex
         assert not report.verdict
 
@@ -345,25 +344,19 @@ class TestCheckHypotheses:
             assert report.is_decreasing and report.is_convex
             assert report.sigma_at_zero > 0.0
 
-    def test_probe_validation(self):
-        with pytest.raises(DomainError):
-            ProbeConfig(eps_small=1.0, upper=0.5)
-        with pytest.raises(DomainError):
-            ProbeConfig(samples=2)
 
-    def test_probe_rejects_bool_samples(self):
-        with pytest.raises(DomainError):
-            ProbeConfig(samples=True)
+PROBE_POINTS = np.geomspace(nonlinear._PROBE_LOW, nonlinear._PROBE_HIGH, nonlinear._PROBE_SAMPLES)
+POLE = float(0.5 * (PROBE_POINTS[10] + PROBE_POINTS[11]))  # a midpoint, not a sample
 
 
-def loop_is_convex(law, probe):
+def loop_is_convex(law):
     """Midpoint convexity by the pairwise loop: the reference for the
     array evaluation in check_hypotheses."""
-    pts = np.geomspace(probe.eps_small, probe.upper, probe.samples)
+    pts = PROBE_POINTS
     vals = [law(float(e)) for e in pts]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if law(0.5 * (pts[i] + pts[j])) > 0.5 * (vals[i] + vals[j]) + probe.tol:
+            if law(0.5 * (pts[i] + pts[j])) > 0.5 * (vals[i] + vals[j]) + nonlinear._PROBE_TOL:
                 return False
     return True
 
@@ -405,33 +398,19 @@ class TestConvexityProbe:
         ConstitutiveLaw.from_expression("2-eps^2"),
         ConstitutiveLaw.from_callable(lambda e: 1e4 - e**2 if e < 100 else -e, "concave"),
     ]
-    PROBES = [
-        ProbeConfig(),
-        ProbeConfig(eps_small=1e-4, upper=10.0, samples=50),
-        ProbeConfig(eps_small=0.5, upper=20.0, samples=7),
-    ]
 
     @pytest.mark.parametrize("law", LAWS)
-    @pytest.mark.parametrize("probe", PROBES)
-    def test_matches_pairwise_loop(self, law, probe):
-        assert check_hypotheses(law, probe).is_convex == loop_is_convex(law, probe)
-
-    @pytest.mark.parametrize("law", LAWS)
-    def test_blocks_of_rows_match_one_call(self, law, monkeypatch):
-        probe = ProbeConfig(eps_small=1e-3, upper=50.0, samples=23)
-        whole = check_hypotheses(law, probe)
-        monkeypatch.setattr(nonlinear, "_PAIRS_PER_CALL", 50)
-        assert check_hypotheses(law, probe) == whole
+    def test_matches_pairwise_loop(self, law):
+        assert check_hypotheses(law).is_convex == loop_is_convex(law)
 
     @pytest.mark.parametrize(
         "law",
         [
-            ConstitutiveLaw.from_expression("1/(2*eps-3)"),
-            ConstitutiveLaw.from_callable(lambda e: 1.0 / (2.0 * e - 3.0), "pole"),
+            ConstitutiveLaw.from_expression(f"1/(eps-{POLE!r})^2"),
+            ConstitutiveLaw.from_callable(lambda e: 1.0 / (e - POLE) ** 2, "pole"),
         ],
     )
     def test_law_undefined_at_a_midpoint_raises(self, law):
-        # samples 1, 2, 4 are fine; the midpoint 1.5 of the first pair is
-        # the pole
-        with pytest.raises(EvaluationError):
-            check_hypotheses(law, ProbeConfig(eps_small=1.0, upper=4.0, samples=3))
+        # every sample is fine; the midpoint of samples 10 and 11 is the pole
+        with pytest.raises(EvaluationError, match="undefined at eps="):
+            check_hypotheses(law)

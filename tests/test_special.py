@@ -1,8 +1,10 @@
 """Mittag-Leffler evaluation: known identities, frozen oracle values,
 structural invariants, and branch consistency."""
 
+import csv
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from fracvoigt.special import (
     ml_eval,
     ml_one,
 )
-from oracles import _ml_series_mp
+from oracles import _ml_series_mp, _positive_axis_points
 
 # frozen extended-precision oracle values (tests/oracles.py)
 ORACLE_POINTS = [
@@ -326,6 +328,34 @@ class TestKnownValues:
             return
         got = ml_eval(MLParams(alpha, beta), z)
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+
+
+def _positive_axis_rows():
+    """The frozen rows of tests/data/ml_positive_axis.csv; None marks a value
+    that overflows float64."""
+    with open(Path(__file__).parent / "data" / "ml_positive_axis.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return [(float(a), float(b), float(z), None if v == "None" else float(v)) for a, b, z, v in rows]
+
+
+POSITIVE_AXIS_ROWS = _positive_axis_rows()
+
+
+class TestPositiveAxisOracle:
+    """Seeded rows at large beta: alpha in [0.2, 1], beta log-uniform in
+    [0.01, 1e3], z in (0, 30] (oracles.positive_axis_ref)."""
+
+    def test_rows_are_the_seeded_points(self):
+        assert [row[:3] for row in POSITIVE_AXIS_ROWS] == list(_positive_axis_points())
+
+    @pytest.mark.parametrize("alpha,beta,z,expected", POSITIVE_AXIS_ROWS)
+    def test_value_or_raise(self, alpha, beta, z, expected):
+        if expected is None:  # a value here would be wrong
+            with pytest.raises(AccuracyError):
+                ml_eval(MLParams(alpha, beta), z)
+            return
+        got = ml_eval(MLParams(alpha, beta), z)
+        assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 class TestDomain:

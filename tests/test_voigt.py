@@ -244,6 +244,23 @@ class TestPicardLinear:
         assert res.iterations == 2
         assert len(res.diff_history) == 2
 
+    # unit step, eta = 1, E = 2 (tau = 0.5), n = 256: the window set by
+    # t_end / tau that the picard_linear docstring states
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_converges_inside_its_window(self, alpha):
+        p = VoigtParams(1.0, 2.0, alpha)
+        res = picard_linear(p, Signal(Grid(15 * p.tau, 256), np.ones(257)),
+                            SolverConfig(tol=1e-8, max_iter=300))
+        assert res.converged
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_reports_past_its_window(self, alpha):
+        p = VoigtParams(1.0, 2.0, alpha)
+        res = picard_linear(p, Signal(Grid(30 * p.tau, 256), np.ones(257)),
+                            SolverConfig(tol=1e-8, max_iter=2000))
+        assert not res.converged
+        assert res.iterations == 2000
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SolverConfig(tol=0.0)
