@@ -205,19 +205,48 @@ def _check_finite(value, node: Expr, reason: str = "non-finite value"):
     return value
 
 
+def _first_failure(fn, values: np.ndarray, errors) -> int:
+    """Index of the first point of the 1-d array values where fn fails,
+    given that it fails on the whole array.  fn fails on an array where it
+    raises one of errors or returns a value that is not finite.  Prefixes
+    of values that double in length, then bisection, find a first failure
+    at index i in about 2 log2(i + 1) calls of fn."""
+
+    def fails(m: int) -> bool:
+        try:
+            return not np.isfinite(np.asarray(fn(values[:m]), dtype=float)).all()
+        except errors:
+            return True
+
+    lo, hi = 0, 1  # the first lo points pass; the first hi hold a failure
+    while hi < len(values) and not fails(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi, len(values))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def evaluate(e: Expr, x):
     """Evaluate with the free variable bound to x.  A float gives a float;
     an array gives an array of its shape, computed by one pass over the
     tree with numpy ufuncs.  An array with an undefined or non-finite point
-    raises the error of the scalar call at its first such point."""
+    raises the error of the scalar call at its first such point, which
+    bisection over prefixes of the array finds."""
     try:
         with np.errstate(all="ignore"):
             value = _eval(e, np.asarray(x, dtype=float))
     except EvaluationError:
         if np.ndim(x) == 0:
             raise
-        for v in np.ravel(x):
-            evaluate(e, float(v))
+        flat = np.ravel(np.asarray(x, dtype=float))
+        with np.errstate(all="ignore"):
+            bad = _first_failure(lambda v: _eval(e, v), flat, EvaluationError)
+        evaluate(e, float(flat[bad]))
         raise
     if np.ndim(x) == 0:
         return float(value)

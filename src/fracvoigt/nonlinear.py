@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import expr
 from .errors import DomainError, EvaluationError
 from .fracops import Grid, Signal, ml_kernel_convolve
 from .voigt import PicardResult, SolverConfig, VoigtParams, _fixed_point
@@ -85,20 +86,23 @@ class ConstitutiveLaw:
         return value
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
-        """sigma at every strain in values: one call when fn takes arrays."""
+        """sigma at every strain in values: one call when fn takes arrays.
+        Where that call fails, bisection over prefixes of values finds the
+        first bad eps, and the scalar call there raises its error."""
         if self.on_arrays:
+            errors = (ArithmeticError, ValueError)
             try:
                 out = np.asarray(self.fn(values), dtype=float)
                 if np.isfinite(out).all():
                     return out
-            except (ArithmeticError, ValueError):
-                pass  # the loop below raises, naming the first bad eps
+            except errors:
+                pass
+            bad = expr._first_failure(self.fn, values, errors)
+            self(float(values[bad]))  # raises unless fn maps arrays and floats differently
         return np.array([self(float(v)) for v in values])
 
     @classmethod
     def from_expression(cls, src: str) -> "ConstitutiveLaw":
-        from . import expr
-
         tree = expr.parse(src, "eps")
         return cls(
             kind=f"expression:{src}", fn=lambda e: expr.evaluate(tree, e), on_arrays=True

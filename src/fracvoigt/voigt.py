@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .fracops import Signal, _kernel_integral, _model_arg, ml_kernel_convolve, rl_integral
-from .special import ml_one
+from .special import Z_MAX_NEG, _integral_neg, ml_one
 
 __all__ = [
     "VoigtParams",
@@ -123,12 +123,23 @@ def creep_function(params: VoigtParams, t):
     or an array of times (a float or an array out).
 
     Nonnegative, nondecreasing, bounded by (tau/eta)^alpha; reduces to
-    (1/E)(1 - exp(-t/tau)) at alpha = 1.
+    (1/E)(1 - exp(-t/tau)) at alpha = 1.  The value is clamped at 0: where
+    (t/tau)^alpha is below about 1e-16, the computed E_alpha(-(t/tau)^alpha)
+    may exceed 1 by an ulp.  A float time with 0 < (t/tau)^alpha <=
+    Z_MAX_NEG and alpha < 1 goes straight to the contour sum, the branch
+    ml_one takes there, so it gets the same value bit for bit without
+    ml_one's checks and dispatch.
     """
-    t = _creep_times(t)
     tau = params.tau
     a = params.alpha
-    return (tau / params.eta) ** a * (1.0 - ml_one(a, _model_arg(a, tau, t)))
+    plateau = (tau / params.eta) ** a
+    if type(t) is float and t > 0.0 and a != 1.0:  # t > 0 keeps x real
+        x = (t / tau) ** a
+        if 0.0 < x <= Z_MAX_NEG:
+            return max(plateau * (1.0 - _integral_neg(a, 1.0, x)), 0.0)
+    t = _creep_times(t)
+    j = plateau * (1.0 - ml_one(a, _model_arg(a, tau, t)))
+    return max(j, 0.0) if type(t) is float else np.maximum(j, 0.0)
 
 
 def creep_function_alt(params: VoigtParams, t):

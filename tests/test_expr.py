@@ -219,6 +219,21 @@ class TestArrayEvaluation:
         with pytest.raises(EvaluationError, match="sqrt of negative"):
             evaluate(tree, np.array([0.0, 0.3, 0.9]))
 
+    @pytest.mark.parametrize("first_bad", [0, 1, 777, 4095])
+    def test_first_bad_point_of_a_long_array(self, first_bad):
+        # the first bad point fails in log, every later one in sqrt, which
+        # the array call meets first
+        x = np.linspace(1.0, 2.0, 4096)
+        x[first_bad:] = -5.0
+        x[first_bad] = 0.0
+        tree = parse("sqrt(t+1)+log(t)", "t")
+        with pytest.raises(EvaluationError) as scalar:
+            evaluate(tree, 0.0)
+        with pytest.raises(EvaluationError) as array:
+            evaluate(tree, x)
+        assert str(array.value) == str(scalar.value)
+        assert "log" in str(array.value)
+
     def test_float_in_float_out(self):
         assert type(evaluate(parse("t^2", "t"), 3.0)) is float
         assert type(evaluate(parse("2", "t"), 3.0)) is float

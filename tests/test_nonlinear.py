@@ -383,6 +383,32 @@ class TestArrayLaws:
         assert str(array.value) == str(scalar.value)
         assert "eps=0.0" in str(array.value)
 
+    @pytest.mark.parametrize("how", ["raises", "returns inf"])
+    @pytest.mark.parametrize("first_bad", [0, 1, 4999, 12345, 19898, 19899])
+    def test_first_bad_eps_found_by_bisection(self, how, first_bad):
+        # a pole at one strain of 19900: the array call fails, and bisection
+        # over prefixes finds the pole in about log2(19900) ~ 15 calls, not
+        # one call per strain up to the pole
+        values = np.linspace(0.0, 2.0, 19900)
+        pole = values[first_bad]
+        calls = []
+
+        def fn(e):
+            calls.append(e)
+            if how == "raises" and np.any(e == pole):
+                raise ZeroDivisionError("pole")
+            return np.where(e == pole, np.inf, 1.0)
+
+        law = ConstitutiveLaw("pole", fn, on_arrays=True)
+        with pytest.raises(EvaluationError) as array:
+            law.map_values(values)
+        assert len(calls) <= 2 * math.log2(values.size) + 2
+        pointwise = ConstitutiveLaw("pole", fn)
+        with pytest.raises(EvaluationError) as scalar:
+            pointwise.map_values(values)
+        assert str(array.value) == str(scalar.value)
+        assert f"eps={float(pole)!r}" in str(array.value)
+
     def test_callable_law_mapped_point_by_point(self):
         seen = []
         law = ConstitutiveLaw.from_callable(lambda e: seen.append(e) or 1.0, "counting")

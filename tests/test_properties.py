@@ -114,6 +114,16 @@ def test_creep_monotone_and_bounded(alpha, eta, e_mod, v_max):
     assert np.all(c <= plateau * (1.0 + 1e-12))
 
 
+@given(alpha=st.floats(0.05, 0.999), log_t=st.floats(-300.0, -3.0))
+def test_creep_nonnegative_at_tiny_times(alpha, log_t):
+    # below (t/tau)^alpha ~ 1e-16 the computed E_alpha(-(t/tau)^alpha) may
+    # exceed 1 by an ulp, so 1 - E_alpha is clamped, in both paths
+    p = VoigtParams(eta=1.0, e_mod=1.0, alpha=alpha)
+    t = 10.0**log_t
+    assert creep_function(p, t) >= 0.0
+    assert np.all(creep_function(p, np.array([t, 2.0 * t, 0.5 * t])) >= 0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     alpha=st.floats(0.1, 1.0),

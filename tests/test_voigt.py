@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from fracvoigt.errors import DomainError
-from fracvoigt.fracops import Grid, Signal, rl_integral
+from fracvoigt.fracops import Grid, Signal, _model_arg, rl_integral
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T, residual, solve_nonlinear
+from fracvoigt.special import Z_MAX_NEG, ml_one
 from fracvoigt.voigt import (
     PicardResult,
     SolverConfig,
     VoigtParams,
+    _creep_times,
     creep_function,
     creep_function_alt,
     linear_strain,
@@ -175,6 +177,55 @@ class TestCreepFunction:
         assert np.all(np.diff(vals) >= -1e-14)
         assert np.all(vals <= (p.tau / p.eta) ** p.alpha + 1e-12)
         assert np.all(vals >= 0.0)
+
+
+def ml_one_creep(p, t):
+    """The creep function through ml_one at every time, clamped at 0: the
+    value the float fast path of creep_function must reproduce."""
+    t = _creep_times(t)
+    j = (p.tau / p.eta) ** p.alpha * (1.0 - ml_one(p.alpha, _model_arg(p.alpha, p.tau, t)))
+    return max(j, 0.0)
+
+
+class TestCreepFastPath:
+    def test_float_times_match_ml_one_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        alphas = [0.05, 0.3, 0.5, 0.9, 0.999, 1.0, *rng.uniform(0.01, 0.999, 20)]
+        for alpha in alphas:
+            eta, e_mod = 10 ** rng.uniform(-3, 3, 2)
+            p = VoigtParams(float(eta), float(e_mod), alpha)
+            cap = Z_MAX_NEG ** (1.0 / alpha) * p.tau  # (t/tau)^alpha = Z_MAX_NEG up to rounding
+            xs = 10 ** rng.uniform(-30, 6, 40)
+            times = [*(xs ** (1.0 / alpha) * p.tau), 0.0, 5e-324, 1e-310, 1e-300]
+            times += [cap * (1.0 + k * 2.2e-16) for k in range(-6, 7)]
+            for t in map(float, times):
+                try:
+                    expected = ml_one_creep(p, t)
+                except DomainError as exc:  # past the cap
+                    with pytest.raises(DomainError) as info:
+                        creep_function(p, t)
+                    assert str(info.value) == str(exc)
+                    continue
+                assert creep_function(p, t).hex() == expected.hex(), (alpha, t)
+
+    def test_subnormal_time_that_underflows_gives_zero(self):
+        # t / tau = 5e-324 / 2 rounds to 0, so (t/tau)^alpha = 0, not t > 0
+        assert creep_function(VoigtParams(2.0, 1.0, 0.5), 5e-324) == 0.0
+
+    @pytest.mark.parametrize(
+        "t", [-0.1, -5e-324, float("nan"), float("inf"), -2, 3, np.float64(0.7), np.float64(-1.0), 2e12]
+    )
+    def test_other_inputs_take_the_ml_one_path(self, t):
+        p = VoigtParams(1.0, 1.0, 0.5)  # tau = 1: 2e12 is past the cap 1e12
+        try:
+            expected = ml_one_creep(p, t)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                creep_function(p, t)
+            assert str(info.value) == str(exc)
+            return
+        got = creep_function(p, t)
+        assert type(got) is float and got == expected
 
 
 class TestPicardLinear:
