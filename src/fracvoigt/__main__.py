@@ -1,6 +1,6 @@
 import sys
 
-from .cli import run
+from .cli import main
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())

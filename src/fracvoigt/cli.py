@@ -31,6 +31,7 @@ a subcommand runs: the library's finiteness checks report instead.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import math
 import os
@@ -360,3 +361,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0
     print(f"warning: {warning}", file=sys.stderr)
     return 1
+
+
+def main() -> int:
+    """Entry point of the fracvoigt command and of python -m fracvoigt:
+    run() on the process's argv.  The process exits next, so main() then
+    freezes the collector's heap: the collections that interpreter
+    shutdown makes would each walk the ~22000 objects the imports left
+    (3.6 ms a full pass), and a frozen object is never walked again."""
+    code = run()
+    gc.freeze()
+    return code

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, CSV schema, exit codes, determinism."""
 
 import argparse
+import gc
 import math
 import os
 import subprocess
@@ -571,3 +572,13 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv, code", [(["ml", "--alpha", "1", "--z", "0"], 0), (["ml"], 2)])
+    def test_main_returns_the_exit_code_and_freezes_the_heap(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(sys, "argv", ["fracvoigt", *argv])
+        try:
+            assert cli.main() == code
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()  # later tests collect as usual
+        capsys.readouterr()
