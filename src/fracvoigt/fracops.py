@@ -16,27 +16,40 @@ F(t) = I^2 k(t) = t^(a+1) E[a,a+2](-(t/tau)^a).  On the grid t_m = m h,
 
 W_m is the integral of k against a hat function and B_j against a half
 hat, so every weight is positive, since k is, wherever it exceeds the
-rounding of its differences (about eps m of the plateau tau^a).  The
-exponential kernel of alpha = 1 falls below it past t/tau of about 20, and
-the algebraic tail of alpha < 1 late in the long-time range: at n = 16384
-the first weight <= 0 appears near (t/tau)^a = 2e3 at alpha = 0.999, 1e5
-at 0.95, 2e5 at 0.9 and 5e5 at alpha <= 0.7 (at n = 4096, only for
-alpha >= 0.99).  Such weights are rounding noise of either sign, and the
-outputs stay exact to rounding: a unit step reproduces the creep function
-to 1.3e-14 of the plateau for alpha in [0.1, 1], (t/tau)^a up to the
-cap and n up to 16384.  The rule is exact for piecewise-linear data and
-converges at O(h^2) for smooth data while h << tau.  Where h >> tau the
-kernel's algebraic tail meets the interpolation error in the last cell,
-and the error, about h^2 (tau/h)^a, falls as h^(2-a): a fourfold
-refinement cuts it 4.6 times at alpha = 0.9 and 8 times at alpha = 0.5
-(test_fracops).  rl_integral is the case tau = inf, where
-k(t) = t^(a-1)/Gamma(a).
+rounding of the differences (about eps m of the plateau tau^a).  The
+algebraic tail of alpha < 1 falls below it late in the long-time range:
+at n = 16384 the first weight <= 0 appears near (t/tau)^a = 2e3 at
+alpha = 0.999, 1e5 at 0.95, 2e5 at 0.9 and 5e5 at alpha <= 0.7 (at
+n = 4096, only for alpha >= 0.99).  Such weights are rounding noise of
+either sign, and the outputs stay exact to rounding: the weights' apply
+to a unit step meets I^1 k(t_j) within 5.3e-15 of its largest value
+over 3000 draws with alpha in [0.05, 1), (t/tau)^a up to the cap and n
+up to 4096.  The exponential kernel of alpha = 1 (finite tau) takes no
+differences.  With r = h/tau and q = e^(-r) its weights are geometric,
 
-The weights are memoized per (alpha, tau, h, n) as B together with the
-spectrum rfft(W, 2n); one array evaluation of F and one of I^1 k at
-t_0..t_n build them.  An apply is then one rfft of the data, one product
-and one irfft: O(n log n).  Two rules keep the FFT's rounding (about
-1e-16 of the largest output) from showing where the direct sum has none:
+    W_0 = F(h)/h = tau (1 + expm1(-r)/r),
+    W_m = I^1 k(h)^2 q^(m-1) / h = (4 tau^2/h) e^(-t_m/tau) sinh^2(r/2),
+    B_j = (I^1 k(h) - F(h)/h) q^(j-1) = tau e^(-t_j/tau) (expm1(r)/r - 1),
+
+products of positive factors that are built from I^1 k(h) and F(h): the
+expm1 forms lose 1/r of their digits where h << tau.  The rule is exact
+for piecewise-linear data and converges at O(h^2) for smooth data while
+h << tau.  Where h >> tau the kernel's algebraic tail meets the
+interpolation error in the last cell, and the error, about h^2 (tau/h)^a,
+falls as h^(2-a): a fourfold refinement cuts it 4.6 times at alpha = 0.9
+and 8 times at alpha = 0.5 (test_fracops).  rl_integral is the case
+tau = inf, where k(t) = t^(a-1)/Gamma(a).
+
+Constant data c need no weights: the sums telescope to c I^1 k(t_j), the
+exact response to a constant load (the creep function times eta^a), so
+an apply of constant data is c times the step response I^1 k(t_j),
+memoized per (alpha, tau, h, n), and zero data give +0.0.  The weights
+are memoized per (alpha, tau, h, n) as B together with the spectrum
+rfft(W, 2n); one array evaluation of F at t_0..t_n and the step response
+build them (the step response gives B's first term).  An apply of any
+other data is then one rfft of the data, one product and one irfft:
+O(n log n).  Two rules keep the FFT's rounding (about 1e-16 of the
+largest output) from showing where the direct sum has none:
 
 * causality: the data enter from their first nonzero sample on, so the
   output before it is exactly 0;
@@ -131,8 +144,17 @@ def _kernel_integral(alpha: float, tau: float, nu: int, t):
     return t ** (alpha + nu - 1) * ml_eval(MLParams(alpha, alpha + nu), z)
 
 
-# an entry holds ~24 bytes per grid point; no caller keeps more than two
-# keys live (picard_linear's RL kernel and one ML kernel; a solve reuses one)
+# a _kernel_weights entry holds ~24 bytes per grid point and a
+# _step_response entry 8 more; no caller keeps more than two keys live
+# (picard_linear's RL kernel and one ML kernel; a solve reuses one)
+@lru_cache(maxsize=2)
+def _step_response(alpha: float, tau: float, h: float, n: int) -> np.ndarray:
+    """I^1 k(t_j) at t_j = j h for j = 1..n, read-only (module docstring)."""
+    step = _kernel_integral(alpha, tau, 1, np.arange(1, n + 1) * h)
+    step.setflags(write=False)
+    return step
+
+
 @lru_cache(maxsize=2)
 def _kernel_weights(
     alpha: float, tau: float, h: float, n: int
@@ -141,29 +163,46 @@ def _kernel_weights(
     the boundary weights B, read-only, and the length-2n spectrum of the
     convolution weights W (module docstring)."""
     t = np.arange(n + 1) * h
-    d = np.diff(_kernel_integral(alpha, tau, 2, t), prepend=0.0)  # d_0 = 0
-    big_w = np.diff(d) / h
-    big_b = _kernel_integral(alpha, tau, 1, t[1:]) - d[1:] / h
+    if alpha == 1.0 and tau < math.inf:  # the exponential kernel's geometric weights
+        q = np.exp(_model_arg(alpha, tau, t))[:-1]  # e^(-t_m/tau), m = 0..n-1
+        i1, f2 = _kernel_integral(alpha, tau, 1, h), _kernel_integral(alpha, tau, 2, h)
+        big_w = np.concatenate(([f2 / h], i1 * i1 / h * q[:-1]))
+        big_b = (i1 - f2 / h) * q
+    else:
+        d = np.diff(_kernel_integral(alpha, tau, 2, t), prepend=0.0)  # d_0 = 0
+        big_w = np.diff(d) / h
+        big_b = _step_response(alpha, tau, h, n) - d[1:] / h
     spec = np.fft.rfft(big_w, 2 * n)
     big_b.setflags(write=False)
     spec.setflags(write=False)
     return big_b, spec
 
 
+def _convolve(alpha: float, tau: float, h: float, n: int, values: np.ndarray) -> np.ndarray:
+    """The product-integration sums of the module docstring for the data
+    values on (alpha, tau, h, n): c I^1 k(t_j) for constant data c, which
+    the sums telescope to, and an FFT apply of the weights otherwise."""
+    c = values[0]
+    if c == values[-1] and (values == c).all():  # the first test rejects most data
+        out = np.zeros(n + 1)
+        if c:  # zero data, -0.0 among them, give +0.0
+            out[1:] = c * _step_response(alpha, tau, h, n)
+        return out
+    return _pt_apply(_kernel_weights(alpha, tau, h, n), values)
+
+
 def _pt_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
     """The sums B_j f_0 + sum_{k=1}^{j} W_{j-k} f_k for j = 1..n (0 at
-    j = 0) by one FFT convolution of length 2n, under the causality and
-    sign rules of the module docstring."""
+    j = 0) of data that are not constant, by one FFT convolution of
+    length 2n, under the causality and sign rules of the module
+    docstring."""
     b, spec = weights
     n = len(b)
     out = np.zeros(n + 1)
     if values[0] or values[1]:
         first = 1
-    else:  # data that start late: scan for the first load
-        nonzero = np.flatnonzero(values)
-        if nonzero.size == 0:
-            return out
-        first = int(nonzero[0])
+    else:  # data that start late: scan for the first load (zero data are constant)
+        first = int(np.flatnonzero(values)[0])
     tail = np.fft.irfft(np.fft.rfft(values[first:], 2 * n) * spec, 2 * n)
     out[first:] = tail[: n + 1 - first]
     out[1:] += b * values[0]
@@ -179,9 +218,9 @@ def rl_integral(alpha: float, f: Signal) -> Signal:
     unit grid scaled by h^a."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"rl_integral requires 0 < alpha <= 1, got {alpha!r}")
-    weights = _kernel_weights(alpha, math.inf, 1.0, f.grid.n)
+    out = _convolve(alpha, math.inf, 1.0, f.grid.n, f.values)
     try:
-        return Signal(f.grid, f.grid.h**alpha * _pt_apply(weights, f.values))
+        return Signal(f.grid, f.grid.h**alpha * out)
     except DomainError:  # finite data, so the integral overflowed
         raise DomainError("fractional integral overflows float64") from None
 
@@ -195,8 +234,7 @@ def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
     docstring).  Value at t = 0 is 0; exact for piecewise-linear f and
     O(h^2) for smooth f while h << tau, O(h^(2-a)) where h >> tau."""
     grid = f.grid
-    weights = _kernel_weights(params.alpha, params.tau, grid.h, grid.n)
-    out = _pt_apply(weights, f.values)
+    out = _convolve(params.alpha, params.tau, grid.h, grid.n, f.values)
     out /= params.eta**params.alpha
     try:
         return Signal(grid, out)

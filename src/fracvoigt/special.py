@@ -188,8 +188,13 @@ def _integral_neg(alpha: float, beta: float, x):
     grow with x: it stays below 1e-14 out to x = 1e8, past the cap
     Z_MAX_NEG = 1e6.
     """
+    return _contour_sum(_contour_nodes(alpha, beta), x)
+
+
+def _contour_sum(nodes: tuple[tuple[float, ...], ...], x):
+    """_integral_neg's sum over the nodes that _contour_nodes built."""
     total = 0.0
-    for p, k, gi, q2 in _contour_nodes(alpha, beta):
+    for p, k, gi, q2 in nodes:
         d = x + p  # Re(s^a + x)
         total = total + (gi * d + k) / (d * d + q2)
     return total

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .fracops import Signal, _kernel_integral, _model_arg, ml_kernel_convolve, rl_integral
-from .special import Z_MAX_NEG, _integral_neg, ml_one
+from .special import Z_MAX_NEG, _contour_nodes, _contour_sum, ml_one
 
 __all__ = [
     "VoigtParams",
@@ -45,7 +46,9 @@ class VoigtParams:
 
     tau = eta / e_mod is derived, never stored, so the retardation-time
     invariant cannot be violated by construction; it must be positive and
-    finite, which eta and e_mod alone do not ensure.
+    finite, which eta and e_mod alone do not ensure.  creep_function's
+    constants are formed once per object, on its first call (_creep, not
+    a field).
     """
 
     eta: float
@@ -68,6 +71,14 @@ class VoigtParams:
     def tau(self) -> float:
         """Retardation time eta / e_mod."""
         return self.eta / self.e_mod
+
+    @cached_property
+    def _creep(self) -> tuple:
+        """(alpha, tau, plateau, nodes) for creep_function: nodes are the
+        contour nodes of E[alpha,1], None at alpha = 1, where the float
+        path is not taken.  Not a field, so ==, hash and repr ignore it."""
+        a, tau = self.alpha, self.tau
+        return a, tau, (tau / self.eta) ** a, None if a == 1.0 else _contour_nodes(a, 1.0)
 
 
 @dataclass(frozen=True)
@@ -128,15 +139,15 @@ def creep_function(params: VoigtParams, t):
     may exceed 1 by an ulp.  A float time with 0 < (t/tau)^alpha <=
     Z_MAX_NEG and alpha < 1 goes straight to the contour sum, the branch
     ml_one takes there, so it gets the same value bit for bit without
-    ml_one's checks and dispatch.
+    ml_one's checks and dispatch.  Tau, the plateau and the contour nodes
+    come from params._creep, so repeated calls on one params form them
+    once.
     """
-    tau = params.tau
-    a = params.alpha
-    plateau = (tau / params.eta) ** a
-    if type(t) is float and t > 0.0 and a != 1.0:  # t > 0 keeps x real
+    a, tau, plateau, nodes = params._creep
+    if type(t) is float and t > 0.0 and nodes is not None:  # t > 0 keeps x real
         x = (t / tau) ** a
         if 0.0 < x <= Z_MAX_NEG:
-            return max(plateau * (1.0 - _integral_neg(a, 1.0, x)), 0.0)
+            return max(plateau * (1.0 - _contour_sum(nodes, x)), 0.0)
     t = _creep_times(t)
     j = plateau * (1.0 - ml_one(a, _model_arg(a, tau, t)))
     return max(j, 0.0) if type(t) is float else np.maximum(j, 0.0)

@@ -11,6 +11,8 @@ from fracvoigt.fracops import (
     Signal,
     _kernel_integral,
     _kernel_weights,
+    _pt_apply,
+    _step_response,
     ml_kernel_convolve,
     rl_integral,
 )
@@ -168,6 +170,8 @@ class TestMlKernelConvolve:
             (1.0, 2.0, 0.3, 4000.0),
             (1.0, 2.0, 0.8, 80.0),
             (0.005, 1.0, 0.5, 200.0),  # tau = 0.005 on [0, 1]
+            (1.0, 2.0, 1.0, 99.0),  # the geometric weights of the exponential kernel
+            (1e6, 1.0, 1.0, 1e-9),  # h / tau = 2.4e-13, where the expm1 forms fail
         ],
     )
     def test_piecewise_linear_data_exact(self, eta, e_mod, alpha, ratio):
@@ -210,9 +214,15 @@ def builder_weights(alpha, tau, h, n):
     docstring; the builder's cached B and spectrum rfft(W, 2n) must equal
     them bit for bit, so W is the builder's own."""
     t = np.arange(n + 1) * h
-    d = np.diff(_kernel_integral(alpha, tau, 2, t), prepend=0.0)
-    w = np.diff(d) / h
-    b = _kernel_integral(alpha, tau, 1, t[1:]) - d[1:] / h
+    if alpha == 1.0 and tau < math.inf:  # geometric in q = e^(-h/tau)
+        q = np.exp(-t[:-1] / tau)
+        i1, f2 = _kernel_integral(1.0, tau, 1, h), _kernel_integral(1.0, tau, 2, h)
+        w = np.concatenate(([f2 / h], i1 * i1 / h * q[:-1]))
+        b = (i1 - f2 / h) * q
+    else:
+        d = np.diff(_kernel_integral(alpha, tau, 2, t), prepend=0.0)
+        w = np.diff(d) / h
+        b = _kernel_integral(alpha, tau, 1, t[1:]) - d[1:] / h
     cached_b, spec = _kernel_weights(alpha, tau, h, n)
     assert np.array_equal(b, cached_b)
     assert np.array_equal(np.fft.rfft(w, 2 * n), spec)
@@ -327,6 +337,83 @@ class TestFftApply:
         p = VoigtParams(1.0, 2.0, 0.5)
         g = Grid(1.0, 64)
         first = _kernel_weights(p.alpha, p.tau, g.h, g.n)
-        ml_kernel_convolve(p, unit_signal(64))
+        ml_kernel_convolve(p, Signal(g, g.points))  # a ramp: constant data take no weights
         assert _kernel_weights(p.alpha, p.tau, g.h, g.n) is first
         assert not first[1].flags.writeable
+
+
+def fft_apply(params, f):
+    """ml_kernel_convolve of f through the weights and the FFT, whatever
+    the data: the path every non-constant datum takes."""
+    g = f.grid
+    out = _pt_apply(_kernel_weights(params.alpha, params.tau, g.h, g.n), f.values)
+    return out / params.eta**params.alpha
+
+
+class TestConstantData:
+    # the weights' sums telescope to I^1 k(t_j), so constant data c give
+    # c I^1 k(t_j) / eta^a (h^a-scaled for rl_integral) with no FFT
+
+    @pytest.mark.parametrize("c", [1.0, -2.5, 3e-7, -1e300])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_is_the_scaled_step_response(self, c, alpha):
+        p = VoigtParams(eta=1.5, e_mod=3.0, alpha=alpha)
+        g = Grid(7.0 * p.tau, 300)
+        f = Signal(g, np.full(g.n + 1, c))
+        out = ml_kernel_convolve(p, f).values
+        step = _kernel_integral(alpha, p.tau, 1, np.arange(1, g.n + 1) * g.h)
+        assert out[0] == 0.0
+        assert np.array_equal(out[1:], c * step / p.eta**alpha)
+        rl = rl_integral(alpha, f).values
+        unit_step = _kernel_integral(alpha, math.inf, 1, np.arange(1.0, g.n + 1))
+        assert rl[0] == 0.0
+        assert np.array_equal(rl[1:], g.h**alpha * (c * unit_step))
+
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    @pytest.mark.parametrize("zeros", [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, -0.0]])
+    def test_zero_data_give_positive_zero(self, n, zeros):
+        values = np.resize(np.array(zeros), n + 1)
+        f = Signal(Grid(1.0, n), values)
+        positive_zeros = np.zeros(n + 1).tobytes()
+        assert ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), f).values.tobytes() == positive_zeros
+        assert rl_integral(0.5, f).values.tobytes() == positive_zeros
+
+    @pytest.mark.parametrize("where", [0, 128, 256])
+    @pytest.mark.parametrize("kind", ["nudged", "zero"])
+    def test_one_other_sample_takes_the_fft(self, where, kind):
+        # data constant but for one sample (first, middle or last) are not
+        # constant: their apply is the FFT one, bit for bit
+        p = VoigtParams(eta=1.5, e_mod=3.0, alpha=0.6)
+        values = np.full(257, 2.0)
+        values[where] = np.nextafter(2.0, 3.0) if kind == "nudged" else 0.0
+        f = Signal(Grid(3.0, 256), values)
+        assert np.array_equal(ml_kernel_convolve(p, f).values, fft_apply(p, f))
+        rl_weights = _kernel_weights(0.6, math.inf, 1.0, 256)
+        expected = f.grid.h**0.6 * _pt_apply(rl_weights, f.values)
+        assert np.array_equal(rl_integral(0.6, f).values, expected)
+
+    def test_builds_no_weights(self):
+        # a fresh key: only the step response is evaluated
+        p = VoigtParams(eta=1.25, e_mod=3.5, alpha=0.4375)
+        g = Grid(2.0, 333)
+        weights_before = _kernel_weights.cache_info().misses
+        step_before = _step_response.cache_info().misses
+        linear_strain(p, Signal(g, np.ones(g.n + 1)))
+        assert _kernel_weights.cache_info().misses == weights_before
+        assert _step_response.cache_info().misses == step_before + 1
+
+    def test_weights_reuse_the_step_response(self):
+        p = VoigtParams(eta=1.25, e_mod=3.5, alpha=0.5625)
+        g = Grid(2.0, 111)
+        ml_kernel_convolve(p, Signal(g, g.points))
+        misses = _step_response.cache_info().misses
+        linear_strain(p, Signal(g, np.ones(g.n + 1)))
+        assert _step_response.cache_info().misses == misses
+        assert not _step_response(p.alpha, p.tau, g.h, g.n).flags.writeable
+
+    def test_strain_near_the_float_max(self):
+        # the strain peaks at 4.7e307: finite, though the FFT of the data
+        # (their sum, 5e308, at frequency 0) overflows
+        p = VoigtParams(eta=1.0, e_mod=2.0, alpha=0.5)
+        out = ml_kernel_convolve(p, Signal(Grid(1.0, 4), np.full(5, 1e308))).values
+        assert np.all(np.isfinite(out)) and 4.6e307 < out[-1] < 4.8e307

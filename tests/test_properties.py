@@ -22,7 +22,7 @@ from fracvoigt.voigt import (
     picard_linear,
 )
 
-from test_fracops import builder_weights
+from test_fracops import builder_weights, fft_apply
 
 log_scale = st.floats(-2.0, 2.0).map(math.exp)
 # largest (t/tau)^alpha a test draws: t = x^(1/alpha) tau maps back to x
@@ -78,7 +78,7 @@ def test_apply_T_causal_and_nonnegative(case, law_src):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    alpha=st.floats(0.02, 0.999),
+    alpha=st.one_of(st.floats(0.02, 1.0), st.just(1.0)),
     tau=log_scale,
     v_max=st.floats(math.log(1e-3), math.log(99.0)).map(math.exp),
     n=st.integers(1, 4096),
@@ -87,11 +87,12 @@ def test_kernel_weights_positive(alpha, tau, v_max, n):
     # W_m and B_j integrate the positive kernel against a hat and a half
     # hat.  Their differences round to about eps m of the plateau, which
     # the algebraic tail of k stays above for alpha <= 0.999 while
-    # (t/tau)^alpha <= 99; the exponential kernel of alpha = 1 falls below
-    # it past t/tau ~ 20.  v_max stops at 99, not at Z_MAX_NEG: at n = 4096
-    # a weight <= 0 appears near (t/tau)^alpha = 3e4 at alpha = 0.999
-    # (fracops docstring), and the outputs stay exact to rounding there
-    # (test_step_strain_is_the_creep_function).
+    # (t/tau)^alpha <= 99; the exponential kernel of alpha = 1 takes no
+    # differences, since its weights are geometric.  v_max stops at 99, not
+    # at Z_MAX_NEG: at n = 4096 a weight <= 0 appears near
+    # (t/tau)^alpha = 3e4 at alpha = 0.999 (fracops docstring), and the
+    # outputs stay exact to rounding there
+    # (test_constant_data_match_the_fft_apply).
     b, w = builder_weights(alpha, tau, v_max ** (1.0 / alpha) * tau / n, n)
     assert np.all(b > 0.0) and np.all(w > 0.0)
 
@@ -140,6 +141,28 @@ def test_step_strain_is_the_creep_function(alpha, eta, e_mod, v_max, n):
     g = Grid(v_max ** (1.0 / alpha) * p.tau, n)
     strain = linear_strain(p, Signal(g, np.ones(n + 1))).values
     assert np.max(np.abs(strain - creep_function(p, g.points))) <= 1e-13 * plateau
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    alpha=st.one_of(st.floats(0.05, 1.0), st.just(1.0)),
+    eta=log_scale,
+    e_mod=log_scale,
+    v_max=st.floats(math.log(1e-3), math.log(Z_REACH)).map(math.exp),
+    n=st.integers(1, 4096),
+    c=st.sampled_from([1.0, -3.5, 2e-9]),
+)
+def test_constant_data_match_the_fft_apply(alpha, eta, e_mod, v_max, n, c):
+    # constant data take c I^1 k(t_j) / eta^a; the weights' sums telescope
+    # to it, so the FFT apply differs only by its rounding, about
+    # eps log2(2n) of the largest output (5.3e-15 seen at alpha < 1).  At
+    # alpha = 1 the geometric weights do not telescope: they meet the step
+    # response through I^1 k(h) and F(h), each within ~3e-15 (8.6e-15 seen)
+    p = VoigtParams(eta=eta, e_mod=e_mod, alpha=alpha)
+    f = Signal(Grid(v_max ** (1.0 / alpha) * p.tau, n), np.full(n + 1, c))
+    out = linear_strain(p, f).values
+    bound = 2e-14 if alpha == 1.0 else 1e-14
+    assert np.max(np.abs(out - fft_apply(p, f))) <= bound * np.max(np.abs(out))
 
 
 @settings(max_examples=100, deadline=None)

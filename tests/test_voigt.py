@@ -1,5 +1,6 @@
 """Linear fractional Voigt model: strain, creep functions, Picard solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from fracvoigt.errors import DomainError
 from fracvoigt.fracops import Grid, Signal, _model_arg, rl_integral
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T, residual, solve_nonlinear
-from fracvoigt.special import Z_MAX_NEG, ml_one
+from fracvoigt import voigt
+from fracvoigt.special import Z_MAX_NEG, _contour_nodes, ml_one
 from fracvoigt.voigt import (
     PicardResult,
     SolverConfig,
@@ -226,6 +228,56 @@ class TestCreepFastPath:
             return
         got = creep_function(p, t)
         assert type(got) is float and got == expected
+
+
+class TestCreepConstants:
+    def test_contour_nodes_looked_up_once_per_params(self, monkeypatch):
+        calls = []
+
+        def spy(alpha, beta):
+            calls.append((alpha, beta))
+            return _contour_nodes(alpha, beta)
+
+        monkeypatch.setattr(voigt, "_contour_nodes", spy)
+        p = VoigtParams(1.5, 2.5, 0.4375)
+        values = [creep_function(p, t) for t in np.linspace(0.01, 5.0, 50).tolist()]
+        creep_function(p, np.linspace(0.0, 5.0, 7))
+        assert calls == [(0.4375, 1.0)]
+        assert values == [ml_one_creep(p, t) for t in np.linspace(0.01, 5.0, 50).tolist()]
+        creep_function(VoigtParams(1.5, 2.5, 0.4375), 1.0)  # equal, but a new object
+        assert len(calls) == 2
+
+    def test_not_a_field(self):
+        p, q = VoigtParams(1.5, 2.5, 0.6), VoigtParams(1.5, 2.5, 0.6)
+        creep_function(p, 1.0)
+        assert "_creep" in vars(p) and "_creep" not in vars(q)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert repr(p) == "VoigtParams(eta=1.5, e_mod=2.5, alpha=0.6)"
+        assert "_creep" not in [f.name for f in dataclasses.fields(p)]
+        assert dataclasses.astuple(p) == (1.5, 2.5, 0.6)
+
+    def test_replace_gives_fresh_constants(self):
+        p = VoigtParams(1.5, 2.5, 0.6)
+        creep_function(p, 1.0)
+        q = dataclasses.replace(p, alpha=0.7, eta=3.0)
+        assert "_creep" not in vars(q)
+        assert creep_function(q, 1.0) == ml_one_creep(q, 1.0)
+        assert q._creep == (0.7, q.tau, (q.tau / 3.0) ** 0.7, _contour_nodes(0.7, 1.0))
+
+    def test_alpha_one_float_path_takes_exp(self, monkeypatch):
+        calls = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            calls.append(x)
+            return exp(x, *args, **kwargs)
+
+        p = VoigtParams(1.0, 2.0, 1.0)
+        assert p._creep[3] is None
+        monkeypatch.setattr(np, "exp", spy)
+        got = creep_function(p, 0.75)
+        assert len(calls) == 1
+        assert got == (1.0 - exp(-1.5)) / 2.0
 
 
 class TestPicardLinear:
