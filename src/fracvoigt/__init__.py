@@ -21,7 +21,7 @@ from .nonlinear import (
     residual,
     solve_nonlinear,
 )
-from .special import MLParams, ml_deriv_sign_probe, ml_eval, ml_one
+from .special import MLParams, ml_eval, ml_one
 from .voigt import (
     PicardResult,
     SolverConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "creep_function",
     "creep_function_alt",
     "linear_strain",
-    "ml_deriv_sign_probe",
     "ml_eval",
     "ml_kernel_convolve",
     "ml_one",

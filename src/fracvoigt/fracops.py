@@ -54,6 +54,16 @@ largest output) from showing where the direct sum has none:
 * causality: the data enter from their first nonzero sample on, so the
   output before it is exactly 0;
 * sign: the output of nonnegative data is clipped to >= 0.
+
+Finite data near the float max can overflow where the output does not:
+their FFT sums them at frequency 0, and the operator's factor (1/eta^a,
+or h^a on the unit grid) comes last.  An apply whose output is not finite
+is therefore made once more on the data scaled by 2^-e, e the exponent of
+their largest magnitude, and the result, factor included, is scaled back
+by 2^e.  A power of two is exact, bar data below 2^(e-1022) that turn
+subnormal, which lie under the rounding of the largest output; so the
+retry gives the sums of the rule as the first apply would in a wider
+exponent range.  An apply whose first output is finite never takes it.
 """
 
 from __future__ import annotations
@@ -211,6 +221,26 @@ def _pt_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.
     return out
 
 
+def _apply(alpha: float, tau: float, h: float, f: Signal, finish, message: str) -> Signal:
+    """finish(sums) as a Signal, for the product-integration sums of the
+    data f on (alpha, tau, h, n); finish applies the operator's factor.  An
+    output that overflows is made once more on f scaled by a power of two
+    (module docstring), and DomainError(message) names one that still
+    does."""
+    n = f.grid.n
+    out = finish(_convolve(alpha, tau, h, n, f.values))
+    try:
+        return Signal(f.grid, out)
+    except DomainError:  # finite data: the sums or the factor overflowed
+        e = int(np.frexp(f.sup_norm())[1])
+    with np.errstate(all="ignore"):  # an overflow still left is raised below
+        out = np.ldexp(finish(_convolve(alpha, tau, h, n, np.ldexp(f.values, -e))), e)
+    try:
+        return Signal(f.grid, out)
+    except DomainError:
+        raise DomainError(message) from None
+
+
 def rl_integral(alpha: float, f: Signal) -> Signal:
     """Fractional integral of order alpha of f on its own grid,
     (I^a f)(t) = 1/Gamma(a) * int_0^t (t-s)^(a-1) f(s) ds, with value 0
@@ -218,11 +248,10 @@ def rl_integral(alpha: float, f: Signal) -> Signal:
     unit grid scaled by h^a."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"rl_integral requires 0 < alpha <= 1, got {alpha!r}")
-    out = _convolve(alpha, math.inf, 1.0, f.grid.n, f.values)
-    try:
-        return Signal(f.grid, f.grid.h**alpha * out)
-    except DomainError:  # finite data, so the integral overflowed
-        raise DomainError("fractional integral overflows float64") from None
+    h_a = f.grid.h**alpha
+    return _apply(
+        alpha, math.inf, 1.0, f, lambda out: h_a * out, "fractional integral overflows float64"
+    )
 
 
 def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
@@ -233,10 +262,8 @@ def ml_kernel_convolve(params: "VoigtParams", f: Signal) -> Signal:
     by product integration against the kernel's exact integrals (module
     docstring).  Value at t = 0 is 0; exact for piecewise-linear f and
     O(h^2) for smooth f while h << tau, O(h^(2-a)) where h >> tau."""
-    grid = f.grid
-    out = _convolve(params.alpha, params.tau, grid.h, grid.n, f.values)
-    out /= params.eta**params.alpha
-    try:
-        return Signal(grid, out)
-    except DomainError:  # finite data, so the convolution overflowed
-        raise DomainError("strain overflows float64") from None
+    eta_a = params.eta**params.alpha
+    return _apply(
+        params.alpha, params.tau, f.grid.h, f,
+        lambda out: np.divide(out, eta_a, out=out), "strain overflows float64",
+    )

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["MLParams", "ml_eval", "ml_one", "ml_deriv_sign_probe"]
+__all__ = ["MLParams", "ml_eval", "ml_one"]
 
 # Hard evaluation-domain caps for the real argument z.  Z_MAX_NEG keeps the
 # contour rule inside its validated range (_CONTOUR_N); its sum flushes to 0
@@ -91,6 +91,9 @@ class MLParams:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
 
 
+# one entry per 64-term block (~0.6 KiB): an evaluation at small alpha near
+# Z_MAX_POS walks up to 125 blocks of one (alpha, beta), so fewer would
+# rebuild the whole column on every repeat at that pair
 @lru_cache(maxsize=256)
 def _series_lgamma(alpha: float, beta: float, block: int) -> np.ndarray:
     """Column of lgamma(alpha n + beta) over the terms n of one block."""
@@ -153,7 +156,11 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return value
 
 
-@lru_cache(maxsize=256)
+# ~4.6 KiB an entry.  A material needs three pairs, (a, 1) for creep,
+# (a, a+1) for the step response and (a, a+2) for F = I^2 k, and
+# VoigtParams._creep and the fracops caches keep what they reuse, so 8
+# entries cover two materials used in turn
+@lru_cache(maxsize=8)
 def _contour_nodes(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
     """Per node of the upper half of the parabola, the tuple
     (Re s^a, -(Re g Im s^a), Im g, (Im s^a)^2) with trapezoidal weight
@@ -275,7 +282,8 @@ def ml_eval(p: MLParams, z):
     return _eval_masked(p.alpha, p.beta, flat).reshape(arr.shape)
 
 
-@lru_cache(maxsize=64, typed=True)
+# one (alpha, 1) pair per material, as in _contour_nodes
+@lru_cache(maxsize=8, typed=True)
 def _one_params(alpha: float) -> MLParams:
     return MLParams(alpha, 1.0)
 
@@ -284,38 +292,3 @@ def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E[alpha](z) = E[alpha,1](z)."""
     return ml_eval(_one_params(alpha), z)
 
-
-_PROBE_STENCILS = {
-    0: ((0.0, 1.0),),
-    1: ((1.0, 0.5), (-1.0, -0.5)),
-    2: ((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)),
-    3: ((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)),
-}
-
-
-def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
-    """n-th central finite difference (divided by h^n) of t -> E[a,b](-t)
-    at t = x, used by the complete-monotonicity test suite.
-
-    The negative axis has one branch, so every stencil point there is
-    evaluated on the same branch and inter-branch offsets cannot
-    masquerade as sign changes in the third difference; the stencil skips
-    the domain check of ml_eval.
-    """
-    if not isinstance(n, int) or not 0 <= n <= 3:
-        raise DomainError(f"difference order n must be an int in [0, 3], got {n!r}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"step h must be positive, got {h!r}")
-    if not 0.0 <= x < math.inf:  # also NaN
-        raise DomainError(f"probe point x must be finite and nonnegative, got {x!r}")
-    if p.beta < p.alpha:
-        raise DomainError(
-            f"probe requires beta >= alpha (got alpha={p.alpha}, beta={p.beta})"
-        )
-    stencil = _PROBE_STENCILS[n]
-    z = -(x + np.array([offset for offset, _ in stencil]) * h)
-    values = _eval_masked(p.alpha, p.beta, z)
-    acc = 0.0
-    for (_, coeff), value in zip(stencil, values):
-        acc += coeff * float(value)
-    return acc / h**n if n > 0 else acc

@@ -22,6 +22,14 @@ The frozen positive-axis rows at large beta (tests/data/ml_positive_axis.csv,
 seed POSITIVE_AXIS_SEED) are regenerated, in one process, with:
 
     python tests/oracles.py --positive-axis tests/data/ml_positive_axis.csv
+
+and the frozen rows at beta > 3 past x = 100 (tests/data/ml_large_beta.csv,
+seed LARGE_BETA_SEED), from the asymptotic series, with:
+
+    python tests/oracles.py --large-beta tests/data/ml_large_beta.csv
+
+The module imports the package for ml_deriv_sign_probe, the finite
+differences of the complete-monotonicity checks.
 """
 
 from __future__ import annotations
@@ -35,6 +43,10 @@ import random
 import sys
 
 import mpmath as mp
+import numpy as np
+
+from fracvoigt.errors import DomainError
+from fracvoigt.special import MLParams, _eval_masked
 
 # Series is considered practical while |z|^(1/alpha) stays below this.
 _SERIES_U_CAP = 140.0
@@ -117,6 +129,43 @@ def ml_ref(alpha: float, beta: float, z: float) -> float:
             val = (val - 1 / mp.gamma(b)) / mp.mpf(-x)
             b += mp.mpf(alpha)
         return float(val)
+
+
+_PROBE_STENCILS = {
+    0: ((0.0, 1.0),),
+    1: ((1.0, 0.5), (-1.0, -0.5)),
+    2: ((1.0, 1.0), (0.0, -2.0), (-1.0, 1.0)),
+    3: ((2.0, 0.5), (1.0, -1.0), (-1.0, 1.0), (-2.0, -0.5)),
+}
+
+
+def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
+    """n-th central finite difference (divided by h^n) of t -> E[a,b](-t)
+    at t = x, for the complete-monotonicity checks (criterion 09,
+    test_special).
+
+    The negative axis has one branch, so every stencil point there is
+    evaluated on the same branch and inter-branch offsets cannot
+    masquerade as sign changes in the third difference; the stencil skips
+    the domain check of ml_eval.
+    """
+    if not isinstance(n, int) or not 0 <= n <= 3:
+        raise DomainError(f"difference order n must be an int in [0, 3], got {n!r}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise DomainError(f"step h must be positive, got {h!r}")
+    if not 0.0 <= x < math.inf:  # also NaN
+        raise DomainError(f"probe point x must be finite and nonnegative, got {x!r}")
+    if p.beta < p.alpha:
+        raise DomainError(
+            f"probe requires beta >= alpha (got alpha={p.alpha}, beta={p.beta})"
+        )
+    stencil = _PROBE_STENCILS[n]
+    z = -(x + np.array([offset for offset, _ in stencil]) * h)
+    values = _eval_masked(p.alpha, p.beta, z)
+    acc = 0.0
+    for (_, coeff), value in zip(stencil, values):
+        acc += coeff * float(value)
+    return acc / h**n if n > 0 else acc
 
 
 def rk4_solve(f, y0: float, t_grid, substeps: int = 20):
@@ -235,8 +284,66 @@ def regenerate_positive_axis(path: str) -> None:
             writer.writerow([repr(alpha), repr(beta), repr(z), repr(positive_axis_ref(alpha, beta, z))])
 
 
+LARGE_BETA_SEED = 20162
+LARGE_BETA_COUNT = 100
+
+
+def _large_beta_points(seed: int = LARGE_BETA_SEED, count: int = LARGE_BETA_COUNT):
+    """Seeded (alpha, beta, z): alpha uniform in (0, 1), beta log-uniform
+    in (3, 1e3], z = -x with x log-uniform in [1e2, 1e6)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = 0.0
+        while alpha == 0.0:
+            alpha = rng.random()
+        beta = 3.0 * (1e3 / 3.0) ** (1.0 - rng.random())
+        x = 10.0 ** (2.0 + 4.0 * rng.random())
+        yield alpha, beta, -x
+
+
+def large_argument_ref(alpha: float, beta: float, x: float) -> float:
+    """E[alpha,beta](-x) for 0 < alpha < 1 by the asymptotic series
+    sum_{k>=1} (-1)^(k+1) x^-k / Gamma(beta - alpha k) (Podlubny 1999,
+    Theorem 1.4), at 60 digits beyond the largest term's excess over the
+    sum, stopped at its smallest term.  A term's size is taken from the
+    envelope x^-k / Gamma(s) for s = beta - alpha k >= 1 and
+    x^-k Gamma(1 - s) / pi below, which bounds |x^-k / Gamma(s)| and has
+    no zeros: the smallest term is where the envelope first rises past
+    k = beta/alpha + 1, or the first below 10^-65 of the sum."""
+    lost = 0
+    while True:
+        with mp.workdps(60 + lost):
+            a, b, xm = mp.mpf(alpha), mp.mpf(beta), mp.mpf(x)
+            total, largest, last, k = mp.mpf(0), mp.mpf(0), None, 1
+            while True:
+                s = b - a * k
+                size = xm**-k * (mp.rgamma(s) if s >= 1 else mp.gamma(1 - s) / mp.pi)
+                if total and size < mp.mpf("1e-65") * abs(total):
+                    break
+                if last is not None and k > b / a + 1 and size > last:
+                    break
+                term = xm**-k * mp.rgamma(s)
+                total += term if k % 2 else -term
+                largest, last, k = max(largest, abs(term)), size, k + 1
+            excess = int(mp.log10(largest / abs(total))) + 1
+            if excess <= lost:
+                return float(total)
+            lost = excess
+
+
+def regenerate_large_beta(path: str) -> None:
+    """Write the frozen rows at beta > 3 past x = 100."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["alpha", "beta", "z", "value"])
+        for alpha, beta, z in _large_beta_points():
+            writer.writerow([repr(alpha), repr(beta), repr(z), repr(large_argument_ref(alpha, beta, -z))])
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--positive-axis"]:
         regenerate_positive_axis(sys.argv[2] if len(sys.argv) > 2 else "tests/data/ml_positive_axis.csv")
+    elif sys.argv[1:2] == ["--large-beta"]:
+        regenerate_large_beta(sys.argv[2] if len(sys.argv) > 2 else "tests/data/ml_large_beta.csv")
     else:
         regenerate_reference(sys.argv[1] if len(sys.argv) > 1 else "tests/data/ml_reference.csv")

@@ -21,7 +21,7 @@ from fracvoigt.cli import run
 from fracvoigt.expr import evaluate, parse, to_source
 from fracvoigt.fracops import Grid, Signal, rl_integral
 from fracvoigt.nonlinear import ConstitutiveLaw, residual, solve_nonlinear
-from fracvoigt.special import MLParams, ml_deriv_sign_probe, ml_eval
+from fracvoigt.special import MLParams, ml_eval
 from fracvoigt.voigt import (
     SolverConfig,
     VoigtParams,
@@ -32,7 +32,7 @@ from fracvoigt.voigt import (
 )
 
 from expr_cases import PRECEDENCE_CASES, random_expression
-from oracles import ml_ref, rk4_solve
+from oracles import ml_deriv_sign_probe, ml_ref, rk4_solve
 
 DATA = Path(__file__).parent / "data" / "ml_reference.csv"
 

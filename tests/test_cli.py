@@ -424,7 +424,10 @@ class TestOutput:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["strain", *MODEL, "--n", "64", "--stress-expr", "1e308*t"],
+            # a ramp to 1e308 over t_end/tau = 100: the strain's scaled
+            # direct sums peak at 2^1026.3, a genuine overflow
+            (["strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "0.01", "--t-end", "1e4",
+              "--n", "64", "--stress-expr", "1e308*(t/1e4)"],
              "strain overflows float64"),
             # (t_end / tau)^0.5 = 1e150: the model-range rule reports first
             (["picard", "--alpha", "0.5", "--eta", "1e-300", "--e-mod", "1", "--n", "16",

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from fracvoigt import fracops
+from fracvoigt.cli import run
 from fracvoigt.errors import DomainError
 from fracvoigt.fracops import (
     Grid,
@@ -417,3 +419,65 @@ class TestConstantData:
         p = VoigtParams(eta=1.0, e_mod=2.0, alpha=0.5)
         out = ml_kernel_convolve(p, Signal(Grid(1.0, 4), np.full(5, 1e308))).values
         assert np.all(np.isfinite(out)) and 4.6e307 < out[-1] < 4.8e307
+
+
+class TestOverflowRetry:
+    # finite data whose sums overflow float64 where the output does not:
+    # the apply is made once more on the data scaled by a power of two
+
+    @pytest.mark.parametrize(
+        "n,expr,stress",
+        [
+            (4, "1e308*(1-t/2)", lambda t: 1e308 * (1 - t / 2)),
+            (64, "1e308*t", lambda t: 1e308 * t),
+        ],
+        ids=["falling", "ramp"],
+    )
+    def test_cli_rows_are_the_scaled_direct_sums(self, capsys, n, expr, stress):
+        # the rule's sums on data scaled by 2^-1000 peak at 2^1021.5 and
+        # 2^1021.7 (after 1/eta^a): finite, though the FFT's sum overflows
+        argv = ["strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2", "--n", str(n)]
+        assert run([*argv, "--stress-expr", expr]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        t, got = (np.array(column, dtype=float) for column in zip(*rows))
+        p = VoigtParams(eta=1.0, e_mod=2.0, alpha=0.5)
+        big_b, big_w = builder_weights(p.alpha, p.tau, t[1], n)
+        ref = direct_sum(big_b, big_w, np.ldexp(stress(t), -1000)) / p.eta**p.alpha
+        assert np.max(np.abs(np.ldexp(got, -1000) - ref)) <= 1e-14 * np.max(ref)
+
+    def test_rl_retry_is_the_scaled_apply(self):
+        # h^a < 1 brings the unit-grid sums, which overflow, back into
+        # range; a power of two scales every step of the FFT exactly
+        f = Signal(Grid(4e-4, 4), [0.0, 1e308, 1e308, 1e308, 1e308])
+        scaled = Signal(f.grid, np.ldexp(f.values, -1000))
+        with np.errstate(all="ignore"):
+            out = rl_integral(0.5, f).values
+        assert np.array_equal(out, np.ldexp(rl_integral(0.5, scaled).values, 1000))
+        assert 2e306 < out[-1] < 3e306
+
+    def test_factor_after_the_step_response(self):
+        # constant data: c I^1 k(t) overflows at the plateau tau^a = 10,
+        # and 1/eta^a = 0.1 brings the strain back to about 1e308
+        p = VoigtParams(eta=100.0, e_mod=1.0, alpha=0.5)
+        f = Signal(Grid(1e4, 4), np.full(5, 1e308))
+        with np.errstate(all="ignore"):
+            out = ml_kernel_convolve(p, f).values
+        unit = ml_kernel_convolve(p, Signal(f.grid, np.ones(5))).values
+        assert np.allclose(out, 1e308 * unit, rtol=1e-15, atol=0.0)
+
+    def test_in_range_data_convolve_once(self, monkeypatch):
+        calls = []
+        convolve = fracops._convolve
+
+        def spy(*args):
+            calls.append(args)
+            return convolve(*args)
+
+        monkeypatch.setattr(fracops, "_convolve", spy)
+        g = Grid(1.0, 64)
+        ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), Signal(g, 1e300 * g.points))
+        rl_integral(0.5, Signal(g, g.points))
+        assert len(calls) == 2
+        with np.errstate(all="ignore"):
+            ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), Signal(g, 1e308 * g.points))
+        assert len(calls) == 4

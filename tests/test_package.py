@@ -17,6 +17,13 @@ def test_all_exports_resolve():
         assert getattr(fracvoigt, name) is not None
 
 
+def test_special_exports_only_the_function():
+    # the complete-monotonicity probe serves the tests alone (tests/oracles.py)
+    assert fracvoigt.special.__all__ == ["MLParams", "ml_eval", "ml_one"]
+    assert set(fracvoigt.special.__all__) <= set(fracvoigt.__all__)
+    assert not hasattr(fracvoigt, "ml_deriv_sign_probe")
+
+
 def test_parse_error_is_a_library_error():
     assert issubclass(fracvoigt.ParseError, fracvoigt.FracvoigtError)
     assert issubclass(fracvoigt.ParseError, ValueError)

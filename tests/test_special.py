@@ -19,11 +19,16 @@ from fracvoigt.special import (
     _branch_masks,
     _integral_neg,
     _one_params,
-    ml_deriv_sign_probe,
     ml_eval,
     ml_one,
 )
-from oracles import _ml_series_mp, _positive_axis_points
+from oracles import (
+    _large_beta_points,
+    _ml_series_mp,
+    _positive_axis_points,
+    large_argument_ref,
+    ml_deriv_sign_probe,
+)
 
 # frozen extended-precision oracle values (tests/oracles.py)
 ORACLE_POINTS = [
@@ -330,15 +335,16 @@ class TestKnownValues:
         assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
 
-def _positive_axis_rows():
-    """The frozen rows of tests/data/ml_positive_axis.csv; None marks a value
-    that overflows float64."""
-    with open(Path(__file__).parent / "data" / "ml_positive_axis.csv", newline="") as fh:
+def _frozen_rows(name):
+    """The frozen rows of tests/data/<name>; None marks a value that
+    overflows float64."""
+    with open(Path(__file__).parent / "data" / name, newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     return [(float(a), float(b), float(z), None if v == "None" else float(v)) for a, b, z, v in rows]
 
 
-POSITIVE_AXIS_ROWS = _positive_axis_rows()
+POSITIVE_AXIS_ROWS = _frozen_rows("ml_positive_axis.csv")
+LARGE_BETA_ROWS = _frozen_rows("ml_large_beta.csv")
 
 
 class TestPositiveAxisOracle:
@@ -356,6 +362,24 @@ class TestPositiveAxisOracle:
             return
         got = ml_eval(MLParams(alpha, beta), z)
         assert abs(got - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+class TestLargeBetaOracle:
+    """Seeded rows at beta > 3 past x = 100: alpha in (0, 1), beta
+    log-uniform in (3, 1e3], z = -x with x log-uniform in [1e2, 1e6)
+    (oracles.large_argument_ref)."""
+
+    def test_rows_are_the_seeded_points(self):
+        assert [row[:3] for row in LARGE_BETA_ROWS] == list(_large_beta_points())
+
+    def test_oracle_gives_the_frozen_values(self):
+        for alpha, beta, z, expected in LARGE_BETA_ROWS[:10]:
+            assert large_argument_ref(alpha, beta, -z) == expected
+
+    @pytest.mark.parametrize("alpha,beta,z,expected", LARGE_BETA_ROWS)
+    def test_frozen_values(self, alpha, beta, z, expected):
+        got = ml_eval(MLParams(alpha, beta), z)
+        assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
 
 class TestDomain:

@@ -1,7 +1,9 @@
 """Linear fractional Voigt model: strain, creep functions, Picard solver."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +280,41 @@ class TestCreepConstants:
         got = creep_function(p, 0.75)
         assert len(calls) == 1
         assert got == (1.0 - exp(-1.5)) / 2.0
+
+
+class TestMemoBounds:
+    # a material touches three node tables: (a, 1) for creep, (a, a+1) for
+    # the step response and (a, a+2) for F = I^2 k
+
+    def test_one_material_builds_three_node_tables(self):
+        _contour_nodes.cache_clear()
+        g = Grid(2.0, 37)
+        for repeat in (3, 0):
+            before = _contour_nodes.cache_info().misses
+            p = VoigtParams(eta=1.3, e_mod=2.9, alpha=0.6)  # equal, a new object
+            linear_strain(p, Signal(g, g.points))
+            creep_function(p, 0.7)
+            creep_function(p, g.points)
+            assert _contour_nodes.cache_info().misses == before + repeat
+
+    def test_fresh_materials_retain_little_memory(self):
+        # each material brings a fresh alpha, as a fitting sweep does
+        g = Grid(1.0, 8)
+        tracemalloc.start()
+        try:
+            for k in range(300):
+                p = VoigtParams(eta=1.0, e_mod=2.0, alpha=0.3 + 0.6 * (k + 0.5) / 300)
+                linear_strain(p, Signal(g, np.ones(g.n + 1)))
+                [creep_function(p, t) for t in g.points.tolist()]
+            del p
+            gc.collect()  # a full collection also empties the free lists
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        package = snapshot.filter_traces([tracemalloc.Filter(True, "*fracvoigt*")])
+        assert sum(stat.size for stat in package.statistics("filename")) < 128 * 1024
+        info = _contour_nodes.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestPicardLinear:
