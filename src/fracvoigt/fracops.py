@@ -228,12 +228,12 @@ def _apply(alpha: float, tau: float, h: float, f: Signal, finish, message: str) 
     (module docstring), and DomainError(message) names one that still
     does."""
     n = f.grid.n
-    out = finish(_convolve(alpha, tau, h, n, f.values))
-    try:
-        return Signal(f.grid, out)
-    except DomainError:  # finite data: the sums or the factor overflowed
-        e = int(np.frexp(f.sup_norm())[1])
     with np.errstate(all="ignore"):  # an overflow still left is raised below
+        out = finish(_convolve(alpha, tau, h, n, f.values))
+        try:
+            return Signal(f.grid, out)
+        except DomainError:  # finite data: the sums or the factor overflowed
+            e = int(np.frexp(f.sup_norm())[1])
         out = np.ldexp(finish(_convolve(alpha, tau, h, n, np.ldexp(f.values, -e))), e)
     try:
         return Signal(f.grid, out)

@@ -156,10 +156,10 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return value
 
 
-# ~4.6 KiB an entry.  A material needs three pairs, (a, 1) for creep,
-# (a, a+1) for the step response and (a, a+2) for F = I^2 k, and
-# VoigtParams._creep and the fracops caches keep what they reuse, so 8
-# entries cover two materials used in turn
+# ~4.6 KiB an entry.  A material needs two pairs, (a, a+1) for the step
+# response and creep and (a, a+2) for F = I^2 k, and VoigtParams._creep
+# and the fracops caches keep what they reuse, so 8 entries cover four
+# materials used in turn
 @lru_cache(maxsize=8)
 def _contour_nodes(alpha: float, beta: float) -> tuple[tuple[float, ...], ...]:
     """Per node of the upper half of the parabola, the tuple
@@ -282,13 +282,7 @@ def ml_eval(p: MLParams, z):
     return _eval_masked(p.alpha, p.beta, flat).reshape(arr.shape)
 
 
-# one (alpha, 1) pair per material, as in _contour_nodes
-@lru_cache(maxsize=8, typed=True)
-def _one_params(alpha: float) -> MLParams:
-    return MLParams(alpha, 1.0)
-
-
 def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E[alpha](z) = E[alpha,1](z)."""
-    return ml_eval(_one_params(alpha), z)
+    return ml_eval(MLParams(alpha, 1.0), z)
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .fracops import Signal, _kernel_integral, _model_arg, ml_kernel_convolve, rl_integral
+from .fracops import Signal, _model_arg, ml_kernel_convolve, rl_integral
 from .special import Z_MAX_NEG, _contour_nodes, _contour_sum, ml_one
 
 __all__ = [
@@ -75,10 +75,10 @@ class VoigtParams:
     @cached_property
     def _creep(self) -> tuple:
         """(alpha, tau, plateau, nodes) for creep_function: nodes are the
-        contour nodes of E[alpha,1], None at alpha = 1, where the float
-        path is not taken.  Not a field, so ==, hash and repr ignore it."""
+        contour nodes of E[alpha,alpha+1], those of the step response.  Not
+        a field, so ==, hash and repr ignore it."""
         a, tau = self.alpha, self.tau
-        return a, tau, (tau / self.eta) ** a, None if a == 1.0 else _contour_nodes(a, 1.0)
+        return a, tau, (tau / self.eta) ** a, _contour_nodes(a, a + 1.0)
 
 
 @dataclass(frozen=True)
@@ -133,34 +133,28 @@ def creep_function(params: VoigtParams, t):
     """Creep function: strain response to unit constant stress, at a time
     or an array of times (a float or an array out).
 
-    Nonnegative, nondecreasing, bounded by (tau/eta)^alpha; reduces to
-    (1/E)(1 - exp(-t/tau)) at alpha = 1.  The value is clamped at 0: where
-    (t/tau)^alpha is below about 1e-16, the computed E_alpha(-(t/tau)^alpha)
-    may exceed 1 by an ulp.  A float time with 0 < (t/tau)^alpha <=
-    Z_MAX_NEG and alpha < 1 goes straight to the contour sum, the branch
-    ml_one takes there, so it gets the same value bit for bit without
-    ml_one's checks and dispatch.  Tau, the plateau and the contour nodes
-    come from params._creep, so repeated calls on one params form them
-    once.
+    It is I^1 k(t) / eta^a, the operators' step response (Podlubny 1999,
+    eq. 1.100): plateau * x * E[a,a+1](-x) with x = (t/tau)^a and
+    plateau = (tau/eta)^a, relatively accurate down to x = 0, where it is
+    +0.0.  Nonnegative, nondecreasing, bounded by the plateau; reduces to
+    (1/E)(1 - exp(-t/tau)) at alpha = 1.  A float time t > 0 with
+    (t/tau)^alpha <= Z_MAX_NEG skips the validation; every other time is
+    validated first.  Tau, the plateau and the contour nodes come from
+    params._creep, so repeated calls on one params form them once.
     """
     a, tau, plateau, nodes = params._creep
-    if type(t) is float and t > 0.0 and nodes is not None:  # t > 0 keeps x real
-        x = (t / tau) ** a
-        if 0.0 < x <= Z_MAX_NEG:
-            return max(plateau * (1.0 - _contour_sum(nodes, x)), 0.0)
-    t = _creep_times(t)
-    j = plateau * (1.0 - ml_one(a, _model_arg(a, tau, t)))
-    return max(j, 0.0) if type(t) is float else np.maximum(j, 0.0)
+    if not (type(t) is float and t > 0.0 and (x := (t / tau) ** a) <= Z_MAX_NEG):
+        x = 0.0 - _model_arg(a, tau, _creep_times(t))  # t = -0.0 gives z = +0.0 at a = 1
+    return plateau * x * _contour_sum(nodes, x)
 
 
 def creep_function_alt(params: VoigtParams, t):
-    """Equivalent two-parameter form of the creep function,
-    (1/eta^a) t^a E[a, a+1](-(t/tau)^a), the kernel's first integral that
-    the convolution weights are built from, at a time or an array of times;
+    """Equivalent one-parameter form of the creep function,
+    (tau/eta)^a (1 - E_a(-(t/tau)^a)), at a time or an array of times;
     kept separate so the series identity between the two forms stays
-    testable."""
-    t = _creep_times(t)
-    return _kernel_integral(params.alpha, params.tau, 1, t) / params.eta**params.alpha
+    testable.  It loses relative accuracy where (t/tau)^a is small."""
+    a, tau = params.alpha, params.tau
+    return (tau / params.eta) ** a * (1.0 - ml_one(a, _model_arg(a, tau, _creep_times(t))))
 
 
 # Largest sum |gamma| of a mixed step.  A larger one extrapolates far past

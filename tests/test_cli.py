@@ -13,6 +13,7 @@ import pytest
 
 from fracvoigt import cli
 from fracvoigt.cli import run
+from oracles import ml_ref
 
 
 def read_csv_text(text):
@@ -92,6 +93,20 @@ class TestCreep:
             "creep", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
             "-o", "/nonexistent-dir/creep.csv",
         ]) == 3
+
+    def test_early_rows_are_relatively_accurate(self, capsys):
+        # (t/tau)^a runs from 2.6e-26 to 1e-25 (tau = 1, plateau 1), where
+        # 1 - E_a(-x) would be rounding noise
+        assert run([
+            "creep", "--alpha", "0.999", "--eta", "1", "--e-mod", "1",
+            "--t-end", "1e-25", "--n", "4",
+        ]) == 0
+        rows, _ = read_csv_text(capsys.readouterr().out)
+        assert rows[0] == (0.0, 0.0) and len(rows) == 5
+        for t, value in rows[1:]:
+            x = t**0.999
+            ref = x * ml_ref(0.999, 1.999, -x)
+            assert abs(value - ref) <= 1e-14 * ref, t
 
     @pytest.mark.parametrize("eta,e_mod,tau", [("1e300", "1e-300", "inf"), ("1e-300", "1e300", "0.0")])
     def test_retardation_time_out_of_range_exits_2(self, capsys, eta, e_mod, tau):

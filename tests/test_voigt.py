@@ -12,7 +12,7 @@ from fracvoigt.errors import DomainError
 from fracvoigt.fracops import Grid, Signal, _model_arg, rl_integral
 from fracvoigt.nonlinear import ConstitutiveLaw, apply_T, residual, solve_nonlinear
 from fracvoigt import voigt
-from fracvoigt.special import Z_MAX_NEG, _contour_nodes, ml_one
+from fracvoigt.special import Z_MAX_NEG, MLParams, _contour_nodes, ml_eval
 from fracvoigt.voigt import (
     PicardResult,
     SolverConfig,
@@ -23,6 +23,7 @@ from fracvoigt.voigt import (
     linear_strain,
     picard_linear,
 )
+from oracles import ml_ref
 
 
 class TestVoigtParams:
@@ -183,16 +184,17 @@ class TestCreepFunction:
         assert np.all(vals >= 0.0)
 
 
-def ml_one_creep(p, t):
-    """The creep function through ml_one at every time, clamped at 0: the
-    value the float fast path of creep_function must reproduce."""
-    t = _creep_times(t)
-    j = (p.tau / p.eta) ** p.alpha * (1.0 - ml_one(p.alpha, _model_arg(p.alpha, p.tau, t)))
-    return max(j, 0.0)
+def step_creep(p, t):
+    """The creep function through the validated path at every time,
+    (tau/eta)^a x E[a,a+1](-x) with x = (t/tau)^a: the value the float
+    fast path of creep_function must reproduce."""
+    a = p.alpha
+    x = 0.0 - _model_arg(a, p.tau, _creep_times(t))
+    return (p.tau / p.eta) ** a * x * ml_eval(MLParams(a, a + 1.0), -x)
 
 
 class TestCreepFastPath:
-    def test_float_times_match_ml_one_bit_for_bit(self):
+    def test_float_times_match_validated_path_bit_for_bit(self):
         rng = np.random.default_rng(19)
         alphas = [0.05, 0.3, 0.5, 0.9, 0.999, 1.0, *rng.uniform(0.01, 0.999, 20)]
         for alpha in alphas:
@@ -200,11 +202,11 @@ class TestCreepFastPath:
             p = VoigtParams(float(eta), float(e_mod), alpha)
             cap = Z_MAX_NEG ** (1.0 / alpha) * p.tau  # (t/tau)^alpha = Z_MAX_NEG up to rounding
             xs = 10 ** rng.uniform(-30, 6, 40)
-            times = [*(xs ** (1.0 / alpha) * p.tau), 0.0, 5e-324, 1e-310, 1e-300]
+            times = [*(xs ** (1.0 / alpha) * p.tau), 0.0, -0.0, 5e-324, 1e-310, 1e-300]
             times += [cap * (1.0 + k * 2.2e-16) for k in range(-6, 7)]
             for t in map(float, times):
                 try:
-                    expected = ml_one_creep(p, t)
+                    expected = step_creep(p, t)
                 except DomainError as exc:  # past the cap
                     with pytest.raises(DomainError) as info:
                         creep_function(p, t)
@@ -220,9 +222,10 @@ class TestCreepFastPath:
         "t", [-0.1, -5e-324, float("nan"), float("inf"), -2, 3, np.float64(0.7), np.float64(-1.0), 2e12]
     )
     def test_other_inputs_take_the_ml_one_path(self, t):
+        # every input but a float t > 0 inside the cap is validated first
         p = VoigtParams(1.0, 1.0, 0.5)  # tau = 1: 2e12 is past the cap 1e12
         try:
-            expected = ml_one_creep(p, t)
+            expected = step_creep(p, t)
         except DomainError as exc:
             with pytest.raises(DomainError) as info:
                 creep_function(p, t)
@@ -230,6 +233,51 @@ class TestCreepFastPath:
             return
         got = creep_function(p, t)
         assert type(got) is float and got == expected
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_zero_time_gives_positive_zero(self, alpha):
+        # (-0.0) ** 1.0 is -0.0, so the validated path forms x as 0 - z; tau = 2,
+        # so t / tau underflows to 0 at t = 5e-324
+        p = VoigtParams(2.0, 1.0, alpha)
+        for t in (0.0, -0.0, 5e-324):
+            assert creep_function(p, t).hex() == "0x0.0p+0"
+            assert creep_function_alt(p, t).hex() == "0x0.0p+0"
+        got = creep_function(p, np.array([0.0, -0.0, 5e-324]))
+        assert got.tolist() == [0.0] * 3 and not np.signbit(got).any()
+
+
+class TestCreepEarlyTimes:
+    # the step-response form keeps relative accuracy as (t/tau)^a -> 0,
+    # where 1 - E_a(-x) cancels to rounding noise
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(25)
+        alphas = [0.05, 0.3, 0.5, 0.9, 0.999, 1.0, *rng.uniform(0.05, 1.0, 6)]
+        for alpha in map(float, alphas):
+            eta, e_mod = (float(v) for v in 10 ** rng.uniform(-2, 2, 2))
+            p = VoigtParams(eta, e_mod, alpha)
+            # t = x^(1/a) tau stays a normal float
+            lo = max(-30.0, -290.0 * alpha)
+            xs = [*10 ** rng.uniform(lo, -3.0, 10), 1e-3]
+            yield p, np.array(xs) ** (1.0 / alpha) * p.tau
+
+    @staticmethod
+    def reference(p, t):
+        x = (t / p.tau) ** p.alpha
+        return (p.tau / p.eta) ** p.alpha * x * ml_ref(p.alpha, p.alpha + 1.0, -x)
+
+    def test_float_times_against_mpmath(self):
+        for p, times in self.cases():
+            for t in times.tolist():
+                ref = self.reference(p, t)
+                assert abs(creep_function(p, t) - ref) <= 1e-14 * ref, (p, t)
+
+    def test_array_times_against_mpmath(self):
+        for p, times in self.cases():
+            ref = np.array([self.reference(p, t) for t in times.tolist()])
+            got = creep_function(p, times)
+            assert np.all(np.abs(got - ref) <= 1e-14 * ref), p
 
 
 class TestCreepConstants:
@@ -244,8 +292,8 @@ class TestCreepConstants:
         p = VoigtParams(1.5, 2.5, 0.4375)
         values = [creep_function(p, t) for t in np.linspace(0.01, 5.0, 50).tolist()]
         creep_function(p, np.linspace(0.0, 5.0, 7))
-        assert calls == [(0.4375, 1.0)]
-        assert values == [ml_one_creep(p, t) for t in np.linspace(0.01, 5.0, 50).tolist()]
+        assert calls == [(0.4375, 1.4375)]
+        assert values == [step_creep(p, t) for t in np.linspace(0.01, 5.0, 50).tolist()]
         creep_function(VoigtParams(1.5, 2.5, 0.4375), 1.0)  # equal, but a new object
         assert len(calls) == 2
 
@@ -263,33 +311,28 @@ class TestCreepConstants:
         creep_function(p, 1.0)
         q = dataclasses.replace(p, alpha=0.7, eta=3.0)
         assert "_creep" not in vars(q)
-        assert creep_function(q, 1.0) == ml_one_creep(q, 1.0)
-        assert q._creep == (0.7, q.tau, (q.tau / 3.0) ** 0.7, _contour_nodes(0.7, 1.0))
+        assert creep_function(q, 1.0) == step_creep(q, 1.0)
+        assert q._creep == (0.7, q.tau, (q.tau / 3.0) ** 0.7, _contour_nodes(0.7, 1.7))
 
-    def test_alpha_one_float_path_takes_exp(self, monkeypatch):
-        calls = []
-        exp = np.exp
-
-        def spy(x, *args, **kwargs):
-            calls.append(x)
-            return exp(x, *args, **kwargs)
-
+    def test_alpha_one_is_the_exponential_creep(self):
+        # the (1, 2) contour gives E[1,2](-x) = -expm1(-x)/x, so alpha = 1
+        # needs no branch of its own, at any x up to the cap
         p = VoigtParams(1.0, 2.0, 1.0)
-        assert p._creep[3] is None
-        monkeypatch.setattr(np, "exp", spy)
-        got = creep_function(p, 0.75)
-        assert len(calls) == 1
-        assert got == (1.0 - exp(-1.5)) / 2.0
+        assert p._creep[3] == _contour_nodes(1.0, 2.0)
+        times = 10 ** np.linspace(-20.0, 6.0, 105) * p.tau
+        ref = np.array([0.5 * -math.expm1(-t / p.tau) for t in times.tolist()])
+        for got in (np.array([creep_function(p, t) for t in times.tolist()]), creep_function(p, times)):
+            assert np.all(np.abs(got - ref) <= 4e-15 * ref)
 
 
 class TestMemoBounds:
-    # a material touches three node tables: (a, 1) for creep, (a, a+1) for
-    # the step response and (a, a+2) for F = I^2 k
+    # a material touches two node tables: (a, a+1) for the step response
+    # and creep, and (a, a+2) for F = I^2 k
 
-    def test_one_material_builds_three_node_tables(self):
+    def test_one_material_builds_two_node_tables(self):
         _contour_nodes.cache_clear()
         g = Grid(2.0, 37)
-        for repeat in (3, 0):
+        for repeat in (2, 0):
             before = _contour_nodes.cache_info().misses
             p = VoigtParams(eta=1.3, e_mod=2.9, alpha=0.6)  # equal, a new object
             linear_strain(p, Signal(g, g.points))
