@@ -93,7 +93,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--tol", type=float, default=SolverConfig.tol, help="sup-norm stopping tolerance"
+        "--tol", type=float, default=SolverConfig.tol, help="tolerance relative to max(1, sup|image|)"
     )
     p.add_argument(
         "--max-iter", type=int, default=SolverConfig.max_iter,

@@ -10,10 +10,9 @@ picard_linear, with Anderson mixing of depth 3: each iterate combines the
 last image with the differences of the last three images and residuals, so
 slowly contracting laws need about half the sweeps of plain substitution.
 The mixing falls back to the plain step, and forgets its history, when its
-3x3 least-squares system is singular or extrapolates too far, or when the
-law is undefined at a mixed iterate.  The returned solution is always an
-image T(eps) (or its damped form), so at damping 1 it is exactly 0 at t = 0
-and nonnegative for sigma >= 0.
+3x3 system is singular, extrapolates too far or leaves eps >= 0 from an
+image >= 0.  The returned solution is always an image T(eps) (or its
+damped form): at damping 1, exactly 0 at t = 0 and >= 0 for sigma >= 0.
 Existence of a positive bounded solution is guaranteed for continuous,
 convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
 at infinity, but no contraction property comes with it: convergence of the
@@ -156,7 +155,7 @@ def solve_nonlinear(
     Damping applies to the step that is mixed: damping = 1 mixes the images
     T(eps) themselves; smaller values help non-contractive cases.  The
     solution is the last step taken, and the iteration stops when that
-    step moved eps by less than cfg.tol in the sup norm.  Non-convergence
+    step moved eps by less than cfg.tol * max(1, sup eps).  Non-convergence
     is reported, not raised.
     """
     if not (0.0 < damping <= 1.0):

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .fracops import Signal, _model_arg, ml_kernel_convolve, rl_integral
 from .special import Z_MAX_NEG, _contour_nodes, _contour_sum, ml_one
 
@@ -83,6 +83,8 @@ class VoigtParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Stop of _fixed_point: sup|image - iterate| < tol * max(1, sup|image|), or max_iter sweeps."""
+
     tol: float = 1e-8
     max_iter: int = 200
 
@@ -97,10 +99,10 @@ class SolverConfig:
 class PicardResult:
     """Outcome of a fixed-point run (_fixed_point).
 
-    converged is equivalent to final_diff < tol of the config that produced
-    the result; diff_history holds sup|step(x_k) - x_k|, the sup-norm
-    difference of each iterate and its image, one entry per iteration,
-    with final_diff its last entry; solution is the last image.
+    converged equals final_diff < tol * max(1, sup|solution|), the stop of
+    the config that produced the result; diff_history holds
+    sup|step(x_k) - x_k|, one entry per iteration, with final_diff its last
+    entry; solution is the last image.
     """
 
     solution: Signal
@@ -183,18 +185,18 @@ def _fixed_point(
 
     Delta F and Delta G sit in preallocated (depth, n+1) buffers, and the
     Gram matrix takes one new row of dot products per iteration.  Three
-    safeguards take the plain step instead and clear the history: a
-    singular Gram system; a gamma that is not finite or has sum |gamma|
-    above _MIX_BOUND; and a step that raises EvaluationError at a mixed
-    iterate (the law is undefined there), which is retried from the image
-    that iterate was mixed from.  picard_linear stays plain (depth 0): its
-    iterates are then the partial sums of the Neumann series, which
-    acceptance criterion 06 and its tests check term by term.
+    safeguards take the plain step instead and clear the history, before
+    step is called: a singular Gram system; a gamma that is not finite or
+    has sum |gamma| above _MIX_BOUND; and a mixed iterate that leaves the
+    cone x >= 0 the image it was mixed from lies in, so a law total on
+    eps >= 0 is never called outside it.  picard_linear stays plain
+    (depth 0): its iterates are then the partial sums of the Neumann
+    series, which acceptance criterion 06 and its tests check term by term.
 
     Each diff_history entry is sup|step(x_k) - x_k|; the loop stops at the
-    first below cfg.tol and returns that last image step(x_k).
-    Non-convergence within cfg.max_iter is reported on the result, not
-    raised.
+    first below cfg.tol * max(1, sup|step(x_k)|) and returns that last
+    image step(x_k).  Non-convergence within cfg.max_iter is reported on
+    the result, not raised.
     """
     grid = start.grid
     d_f = np.empty((depth, grid.n + 1))
@@ -202,22 +204,16 @@ def _fixed_point(
     gram = np.empty((depth, depth))
     held = slot = 0  # rows of d_f, d_g (and gram) in use; the row written next
     last = None  # residual and image of the previous step
-    x, fallback = start, None  # fallback: the image x was mixed from
+    x = start
     history: list[float] = []
     for _ in range(cfg.max_iter):  # at least once: SolverConfig checks max_iter >= 1
-        try:
-            image = step(x)
-        except EvaluationError:
-            if fallback is None:
-                raise
-            x, held, slot = fallback, 0, 0
-            image = step(x)
+        image = step(x)
         res = image.values - x.values
         diff = float(np.max(np.abs(res)))
         history.append(diff)
-        if diff < cfg.tol:
+        if (converged := diff < cfg.tol * max(1.0, image.sup_norm())):
             break
-        x, fallback = image, None
+        x = image
         if depth == 0:
             continue
         if last is not None:
@@ -235,14 +231,16 @@ def _fixed_point(
             except np.linalg.LinAlgError:
                 gamma = None
             if gamma is not None and np.abs(gamma).sum() <= _MIX_BOUND:  # False for nan
-                x, fallback = Signal(grid, image.values - gamma @ d_g[:held]), image
-            else:
-                held = slot = 0
+                mixed = image.values - gamma @ d_g[:held]
+                if mixed.min() >= 0.0 or image.values.min() < 0.0:
+                    x = Signal(grid, mixed)
+                    continue
+            held = slot = 0
     return PicardResult(
         solution=image,
         iterations=len(history),
         final_diff=diff,
-        converged=diff < cfg.tol,
+        converged=converged,
         diff_history=history,
     )
 
@@ -254,14 +252,14 @@ def picard_linear(
     eps_0 = I^a sigma / eta^a.
 
     Stops when the sup-norm difference of consecutive iterates drops below
-    cfg.tol; non-convergence within cfg.max_iter is reported on the result,
-    not raised (both are _fixed_point's).  The iterates are partial sums of
-    the Neumann series, which peak near e^(t/tau) before they cancel, so
-    the sweeps grow with t_end/tau, whatever alpha: at n = 256 and tol 1e-8
-    a unit step takes 24-84 sweeps at t_end/tau = 5, 54-183 at 15 and
-    107-308 at 20 (alpha 1 to 0.3), and none converges within 2000 at 25.
-    The default 200 sweeps thus cover t_end/tau <= 15; past that use
-    linear_strain, which is direct.
+    cfg.tol * max(1, sup of the new one); non-convergence within cfg.max_iter
+    is reported on the result, not raised (both are _fixed_point's).  The
+    iterates are partial sums of the Neumann series, which peak near
+    e^(t/tau) before they cancel, so the sweeps grow with t_end/tau,
+    whatever alpha: at n = 256 and tol 1e-8 a unit step takes 24-84 sweeps
+    at t_end/tau = 5, 54-183 at 15 and 107-308 at 20 (alpha 1 to 0.3), and
+    none converges within 2000 at 25.  The default 200 sweeps thus cover
+    t_end/tau <= 15; past that use linear_strain, which is direct.
     """
     a = params.alpha
     _model_arg(a, params.tau, stress.grid.t_end)  # the range rule of every operator

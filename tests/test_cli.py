@@ -13,7 +13,11 @@ import pytest
 
 from fracvoigt import cli
 from fracvoigt.cli import run
+from fracvoigt.fracops import Grid
+from fracvoigt.nonlinear import ConstitutiveLaw
+from fracvoigt.voigt import SolverConfig, VoigtParams
 from oracles import ml_ref
+from test_nonlinear import plain_solve
 
 
 def read_csv_text(text):
@@ -350,6 +354,21 @@ class TestPicard:
         assert len(rows) == 65  # output still written
         assert any("converged=false" in ln for ln in trailer)
 
+    def test_stop_scales_with_the_solution(self, capsys):
+        # a strain near 1e307: an absolute stop would need the iterates to
+        # agree to ~1e-315 relative and would run to the cap
+        bodies = []
+        for stress in ("1e307*t", "t"):
+            assert run([
+                "picard", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
+                "--n", "16", "--stress-expr", stress,
+            ]) == 0
+            rows, trailer = read_csv_text(capsys.readouterr().out)
+            assert "# converged=true" in trailer
+            bodies.append(np.array([v for _, v in rows]))
+        big, unit = bodies
+        assert np.max(np.abs(big / 1e307 - unit)) <= 1e-8 * np.max(unit)
+
 
 class TestSolve:
     def test_worked_example(self, capsys):
@@ -365,6 +384,35 @@ class TestSolve:
         joined = "\n".join(trailer)
         assert "converged=true" in joined
         assert "residual=" in joined
+
+    def test_mixing_keeps_the_strain_nonnegative(self, capsys):
+        # the law meets the existence hypotheses, with a singularity just
+        # below eps = 0; mixing past it would settle on a negative fixed
+        # point of the continued law
+        assert run([
+            "solve", "--alpha", "0.5", "--eta", "0.5", "--e-mod", "1", "--t-end", "0.5",
+            "--n", "1024", "--sigma-expr", "1/(0.01+eps)",
+        ]) == 0
+        rows, trailer = read_csv_text(capsys.readouterr().out)
+        vals = np.array([v for _, v in rows])
+        assert "# converged=true" in trailer
+        assert np.all(vals >= 0.0)
+        ref = plain_solve(
+            VoigtParams(0.5, 1.0, 0.5), ConstitutiveLaw.from_expression("1/(0.01+eps)"),
+            Grid(0.5, 1024), SolverConfig(tol=1e-12, max_iter=200),
+        )
+        assert ref.converged
+        assert np.max(np.abs(vals - ref.solution.values)) <= 1e-8
+
+    def test_law_undefined_at_zero_exits_2(self, capsys):
+        assert run([
+            "solve", "--alpha", "0.5", "--eta", "1", "--e-mod", "2", "--n", "16",
+            "--sigma-expr", "log(eps-1)",
+        ]) == 2
+        assert capsys.readouterr() == (
+            "", "error: constitutive law (expression:log(eps-1)) undefined at eps=0.0: "
+            "log of nonpositive value in 'log(eps-1.0)'\n",
+        )
 
     def test_damping_flag(self, capsys):
         assert run([

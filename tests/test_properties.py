@@ -1,7 +1,8 @@
 """Model invariants as Hypothesis properties: sign and causality of the
-discrete operators, monotone bounded creep, the alpha = 1 exponential
-reduction, Picard iterates approaching the direct linear solution, and
-array Mittag-Leffler and creep calls agreeing with their scalar calls."""
+discrete operators, nonnegative nonlinear solves, monotone bounded creep,
+the alpha = 1 exponential reduction, Picard iterates approaching the
+direct linear solution, and array Mittag-Leffler and creep calls agreeing
+with their scalar calls."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracvoigt.errors import AccuracyError, DomainError
 from fracvoigt.fracops import Grid, Signal
-from fracvoigt.nonlinear import ConstitutiveLaw, apply_T
+from fracvoigt.nonlinear import ConstitutiveLaw, apply_T, solve_nonlinear
 from fracvoigt.special import Z_MAX_NEG, MLParams, ml_eval
 from fracvoigt.voigt import (
     SolverConfig,
@@ -205,6 +206,43 @@ def test_picard_approaches_linear_strain(alpha, eta, e_mod, ratio, ramp):
         gaps.append(float(np.max(np.abs(res.solution.values - linear_strain(p, stress).values))))
     assert gaps[0] <= 0.05 * plateau
     assert gaps[1] <= 0.75 * gaps[0]
+
+
+@st.composite
+def decreasing_laws(draw):
+    """A positive decreasing law, c/(d+eps)^p or c*exp(-p*eps), as an
+    expression."""
+    c = draw(st.floats(math.log(0.1), math.log(1e3)).map(math.exp))
+    p = draw(st.floats(0.2, 4.0))
+    if draw(st.booleans()):
+        return f"{c!r}*exp(-{p!r}*eps)"
+    d = draw(st.floats(math.log(0.01), math.log(10.0)).map(math.exp))
+    return f"{c!r}/({d!r}+eps)^{p!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    src=decreasing_laws(),
+    alpha=st.floats(0.05, 1.0),
+    ratio=st.floats(math.log(0.1), math.log(1e3)).map(math.exp),
+    n=st.sampled_from([64, 256]),
+)
+def test_solve_stays_nonnegative(src, alpha, ratio, n):
+    # T maps eps >= 0 to itself for sigma >= 0, and the mixed loop keeps
+    # its iterates there: the law is never called at a negative strain
+    lowest = []
+    law = ConstitutiveLaw.from_expression(src)
+
+    def fn(eps):
+        lowest.append(np.min(eps))
+        return law.fn(eps)
+
+    p = VoigtParams(eta=0.5, e_mod=1.0, alpha=alpha)
+    res = solve_nonlinear(p, ConstitutiveLaw(law.kind, fn, on_arrays=True), Grid(ratio * p.tau, n))
+    assert min(lowest) >= 0.0
+    if res.converged:
+        assert res.solution.values[0] == 0.0
+        assert np.all(res.solution.values >= 0.0)
 
 
 @st.composite
