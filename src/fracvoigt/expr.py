@@ -14,10 +14,12 @@ syntax error.  One table, _PREC, holds these levels: the parser climbs it
 (precedence climbing; Norvell, "Parsing expressions by recursive descent",
 1999) and to_source takes its parentheses from it.  evaluate binds the
 variable to a float or to a whole array (numpy ufuncs, one pass over the
-tree).  Evaluation never returns NaN or infinity silently: a numeric
-literal past the float range is a ParseError, and any undefined or
-non-finite intermediate raises EvaluationError naming the offending
-subexpression.
+tree).  Evaluation never returns NaN or infinity.  A numeric literal past
+the float range is a ParseError and a non-finite variable raises
+EvaluationError, so every operand is finite; then one rule holds at every
+node: a floating-point flag other than underflow, which IEEE 754 raises
+exactly where a value of finite operands is infinite or undefined, raises
+EvaluationError naming the subexpression.
 """
 
 from __future__ import annotations
@@ -32,30 +34,34 @@ from .errors import EvaluationError, FracvoigtError
 
 __all__ = ["ParseError", "parse", "evaluate", "to_source", "FUNCTIONS"]
 
-# function name -> (numpy function, the reason an EvaluationError names when
-# its value is not finite, or None where this is not checked)
+# function name -> numpy function
 _FUNCS = {
-    "exp": (np.exp, "overflow"),
-    "log": (np.log, "non-finite value"),
-    "sqrt": (np.sqrt, None),
-    "sin": (np.sin, "overflow"),
-    "cos": (np.cos, "overflow"),
-    "abs": (np.abs, "overflow"),
-    "pow": (np.power, None),  # checked by _check_power
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "abs": np.abs,
+    "pow": np.power,
 }
 # function name -> arity
-FUNCTIONS = {name: fn.nin for name, (fn, _) in _FUNCS.items()}
+FUNCTIONS = {name: fn.nin for name, fn in _FUNCS.items()}
 
 # binary operator -> numpy function
 _BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
-# operator or function name -> (test of its last argument against 0 that
-# marks a point outside the domain, the reason the error names)
-_DOMAIN = {
-    "/": (np.equal, "division by zero"),
-    "log": (np.less_equal, "log of nonpositive value"),
-    "sqrt": (np.less, "sqrt of negative value"),
+# numpy function -> the message of the EvaluationError raised where it
+# raises numpy's divide-by-zero or invalid flag (_UNDEFINED) or its
+# overflow flag (_OVERFLOW); {!r} is the subexpression, and a function not
+# listed names a non-finite value
+_UNDEFINED = {
+    np.divide: "division by zero in {!r}",
+    np.log: "log of nonpositive value in {!r}",
+    np.sqrt: "sqrt of negative value in {!r}",
+    np.power: "invalid power in {!r}: math domain error",
 }
+_OVERFLOW = {np.exp: "overflow in {!r}", np.power: "invalid power in {!r}: math range error"}
+_NON_FINITE = "non-finite value in {!r}"
 
 # binding power of each binary operator and of unary minus; '^' alone is
 # right-associative
@@ -199,12 +205,6 @@ def parse(src: str, var_name: str) -> Expr:
     return node
 
 
-def _check_finite(value, node: Expr, reason: str = "non-finite value"):
-    if not np.isfinite(value).all():
-        raise EvaluationError(f"{reason} in {to_source(node)!r}")
-    return value
-
-
 def _first_failure(fn, values: np.ndarray, errors) -> int:
     """Index of the first point of the 1-d array values where fn fails,
     given that it fails on the whole array.  fn fails on an array where it
@@ -234,59 +234,52 @@ def _first_failure(fn, values: np.ndarray, errors) -> int:
 def evaluate(e: Expr, x):
     """Evaluate with the free variable bound to x.  A float gives a float;
     an array gives an array of its shape, computed by one pass over the
-    tree with numpy ufuncs.  An array with an undefined or non-finite point
-    raises the error of the scalar call at its first such point, which
-    bisection over prefixes of the array finds."""
-    try:
-        with np.errstate(all="ignore"):
+    tree with numpy ufuncs.  A non-finite x where the tree reads the
+    variable, and a floating-point flag other than underflow at a node,
+    raise EvaluationError naming that subexpression.  An array raises the
+    error of the scalar call at its first bad point, which bisection over
+    prefixes of the array finds."""
+    with np.errstate(all="call", under="ignore", call=_raise_flag):
+        try:
             value = _eval(e, np.asarray(x, dtype=float))
-    except EvaluationError:
-        if np.ndim(x) == 0:
-            raise
-        flat = np.ravel(np.asarray(x, dtype=float))
-        with np.errstate(all="ignore"):
+        except EvaluationError:
+            if np.ndim(x) == 0:
+                raise
+            flat = np.ravel(np.asarray(x, dtype=float))
             bad = _first_failure(lambda v: _eval(e, v), flat, EvaluationError)
-        evaluate(e, float(flat[bad]))
-        raise
+            evaluate(e, float(flat[bad]))
+            raise
     if np.ndim(x) == 0:
         return float(value)
     return np.full(np.shape(x), value)
+
+
+def _raise_flag(kind: str, flag: int):
+    """The errstate call of evaluate: flag is the bitmask of the flags
+    numpy raised (1 divide-by-zero, 2 overflow, 8 invalid)."""
+    raise FloatingPointError(flag)
 
 
 def _eval(e: Expr, x: np.ndarray):
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        return _check_finite(x, e)
+        if not np.isfinite(x).all():
+            raise EvaluationError(_NON_FINITE.format(e.name))
+        return x
     if isinstance(e, Neg):
         return -_eval(e.operand, x)
     if isinstance(e, BinOp):
-        name, args = e.op, (_eval(e.left, x), _eval(e.right, x))
-        fn, reason = _BINOPS[name], "non-finite value"
+        fn, args = _BINOPS[e.op], (_eval(e.left, x), _eval(e.right, x))
     elif isinstance(e, Call):
-        name, args = e.func, [_eval(a, x) for a in e.args]
-        fn, reason = _FUNCS[name]
+        fn, args = _FUNCS[e.func], [_eval(a, x) for a in e.args]
     else:
         raise TypeError(f"not an expression node: {e!r}")
-    if name in _DOMAIN:
-        outside, why = _DOMAIN[name]
-        if outside(args[-1], 0.0).any():
-            raise EvaluationError(f"{why} in {to_source(e)!r}")
-    value = fn(*args)
-    if fn is np.power:
-        return _check_power(value, args[0], e)
-    return value if reason is None else _check_finite(value, e, reason)
-
-
-def _check_power(value, base, node: Expr):
-    finite = np.isfinite(value)
-    if not finite.all():
-        # math.pow's two errors: a negative base to a non-integer power and
-        # zero to a negative power are outside its domain, the rest overflows
-        domain = np.any(np.isnan(value) | ((base == 0.0) & ~finite))
-        reason = "math domain error" if domain else "math range error"
-        raise EvaluationError(f"invalid power in {to_source(node)!r}: {reason}")
-    return value
+    try:
+        return fn(*args)
+    except FloatingPointError as exc:
+        messages = _UNDEFINED if exc.args[0] & (1 | 8) else _OVERFLOW
+        raise EvaluationError(messages.get(fn, _NON_FINITE).format(to_source(e))) from None
 
 
 def _prec(e: Expr) -> int:

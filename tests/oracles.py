@@ -29,7 +29,9 @@ seed LARGE_BETA_SEED), from the asymptotic series, with:
     python tests/oracles.py --large-beta tests/data/ml_large_beta.csv
 
 The module imports the package for ml_deriv_sign_probe, the finite
-differences of the complete-monotonicity checks.
+differences of the complete-monotonicity checks.  evaluate_ref is the
+reference for expression evaluation: a walk that tests each node's domain
+and the finiteness of its value by hand.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import sys
 import mpmath as mp
 import numpy as np
 
-from fracvoigt.errors import DomainError
+from fracvoigt.errors import DomainError, EvaluationError
+from fracvoigt.expr import BinOp, Call, Neg, Num, Var, to_source
 from fracvoigt.special import MLParams, _eval_masked
 
 # Series is considered practical while |z|^(1/alpha) stays below this.
@@ -185,6 +188,88 @@ def rk4_solve(f, y0: float, t_grid, substeps: int = 20):
             t += h
         out.append(y)
     return out
+
+
+# The reference for fracvoigt.expr.evaluate: a walk that checks every node by
+# hand, under np.errstate(all="ignore"), as the package once did.  A domain
+# test runs before each '/', log and sqrt, a finiteness scan after each node,
+# and the power check names math.pow's two errors.
+
+# function name -> (numpy function, the reason an EvaluationError names when
+# its value is not finite, or None where this is not checked)
+_REF_FUNCS = {
+    "exp": (np.exp, "overflow"),
+    "log": (np.log, "non-finite value"),
+    "sqrt": (np.sqrt, None),
+    "sin": (np.sin, "overflow"),
+    "cos": (np.cos, "overflow"),
+    "abs": (np.abs, "overflow"),
+    "pow": (np.power, None),  # checked by _check_power
+}
+
+# binary operator -> numpy function
+_REF_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+# operator or function name -> (test of its last argument against 0 that
+# marks a point outside the domain, the reason the error names)
+_DOMAIN = {
+    "/": (np.equal, "division by zero"),
+    "log": (np.less_equal, "log of nonpositive value"),
+    "sqrt": (np.less, "sqrt of negative value"),
+}
+
+
+def evaluate_ref(e, x):
+    """The value of expression tree e with its variable bound to x, a float
+    (float out) or an array (array out), or the EvaluationError of the
+    first node, in evaluation order, that fails anywhere in x."""
+    with np.errstate(all="ignore"):
+        value = _eval(e, np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        return float(value)
+    return np.full(np.shape(x), value)
+
+
+def _check_finite(value, node, reason: str = "non-finite value"):
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"{reason} in {to_source(node)!r}")
+    return value
+
+
+def _eval(e, x: np.ndarray):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return _check_finite(x, e)
+    if isinstance(e, Neg):
+        return -_eval(e.operand, x)
+    if isinstance(e, BinOp):
+        name, args = e.op, (_eval(e.left, x), _eval(e.right, x))
+        fn, reason = _REF_BINOPS[name], "non-finite value"
+    elif isinstance(e, Call):
+        name, args = e.func, [_eval(a, x) for a in e.args]
+        fn, reason = _REF_FUNCS[name]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    if name in _DOMAIN:
+        outside, why = _DOMAIN[name]
+        if outside(args[-1], 0.0).any():
+            raise EvaluationError(f"{why} in {to_source(e)!r}")
+    value = fn(*args)
+    if fn is np.power:
+        return _check_power(value, args[0], e)
+    return value if reason is None else _check_finite(value, e, reason)
+
+
+def _check_power(value, base, node):
+    finite = np.isfinite(value)
+    if not finite.all():
+        # math.pow's two errors: a negative base to a non-integer power and
+        # zero to a negative power are outside its domain, the rest overflows
+        domain = np.any(np.isnan(value) | ((base == 0.0) & ~finite))
+        reason = "math domain error" if domain else "math range error"
+        raise EvaluationError(f"invalid power in {to_source(node)!r}: {reason}")
+    return value
 
 
 def _acceptance_grid():

@@ -13,6 +13,30 @@ from fracvoigt.errors import EvaluationError
 from fracvoigt.expr import ParseError, evaluate, parse, to_source
 
 from expr_cases import PRECEDENCE_CASES, random_expression
+from oracles import evaluate_ref
+
+# (source, a point where it fails, the exact message): one row per operator
+# or function and numpy floating-point flag it can raise on finite operands
+# (1 divide-by-zero, 2 overflow, 8 invalid), and a non-finite input
+MESSAGE_CASES = [
+    ("1/t", 0.0, "division by zero in '1.0/t'"),  # divide
+    ("t/t", 0.0, "division by zero in 't/t'"),  # invalid
+    ("t+t", 1e308, "non-finite value in 't+t'"),
+    ("-t-t", 1e308, "non-finite value in '-t-t'"),
+    ("t*10", 1e308, "non-finite value in 't*10.0'"),
+    ("t/1e-308", 1e308, "non-finite value in 't/1e-308'"),
+    ("log(t)", 0.0, "log of nonpositive value in 'log(t)'"),  # divide
+    ("log(t)", -1.0, "log of nonpositive value in 'log(t)'"),  # invalid
+    ("sqrt(t)", -4.0, "sqrt of negative value in 'sqrt(t)'"),
+    ("exp(t)", 710.0, "overflow in 'exp(t)'"),
+    ("t^-1", 0.0, "invalid power in 't^(-1.0)': math domain error"),  # divide
+    ("t^0.5", -2.0, "invalid power in 't^0.5': math domain error"),  # invalid
+    ("t^2", 1e308, "invalid power in 't^2.0': math range error"),
+    ("pow(t,-1)", 0.0, "invalid power in 'pow(t,-1.0)': math domain error"),
+    ("pow(t,0.5)", -2.0, "invalid power in 'pow(t,0.5)': math domain error"),
+    ("pow(t,2)", 1e308, "invalid power in 'pow(t,2.0)': math range error"),
+    ("1+t", math.inf, "non-finite value in 't'"),
+]
 
 
 class TestPrecedence:
@@ -111,6 +135,101 @@ class TestEvalErrors:
         with pytest.raises(EvaluationError) as exc:
             evaluate(parse("1 + 1/(t-1)", "t"), 1.0)
         assert "/(t-1.0)" in str(exc.value).replace(" ", "")
+
+
+class TestMessages:
+    @pytest.mark.parametrize("src,bad,message", MESSAGE_CASES)
+    def test_exact_message(self, src, bad, message):
+        tree = parse(src, "t")
+        with pytest.raises(EvaluationError) as scalar:
+            evaluate(tree, bad)
+        with pytest.raises(EvaluationError) as array:
+            evaluate(tree, np.array([1.5, bad, 2.0]))
+        assert str(scalar.value) == str(array.value) == message
+
+    def test_every_flag_fires(self, monkeypatch):
+        seen = set()
+        raise_flag = expr._raise_flag
+
+        def spy(kind, flag):
+            seen.add(flag)
+            raise_flag(kind, flag)
+
+        monkeypatch.setattr(expr, "_raise_flag", spy)
+        for src, bad, _ in MESSAGE_CASES:
+            with pytest.raises(EvaluationError):
+                evaluate(parse(src, "t"), bad)
+        assert seen == {1, 2, 8}
+
+    def test_constant_ignores_a_non_finite_input(self):
+        tree = parse("2", "t")
+        assert evaluate(tree, math.inf) == 2.0
+        np.testing.assert_array_equal(
+            evaluate(tree, np.array([1.5, math.inf, 2.0])), np.full(3, 2.0)
+        )
+
+
+# the edge inputs: signed zeros, the float range's ends, exp's overflow
+# threshold and a large argument, then the non-finite inputs
+_EDGES = [0.0, -0.0, 1e-308, -1e-308, 1e308, -1e308, 710.0, 1e9]
+_POINTS = st.one_of(
+    st.sampled_from(_EDGES + [math.inf, -math.inf, math.nan]),
+    st.floats(-3.0, 3.0),
+)
+# trees that random_expression never builds: log, sqrt, a bare '/', and '^'
+# or pow with zero or negative bases
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, -2.5, 710.0, 1e-308, 1e308]).map(expr.Num),
+    st.just(expr.Var("t")),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(expr.Neg),
+        st.builds(expr.BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(
+            lambda fn, arg: expr.Call(fn, (arg,)),
+            st.sampled_from(["exp", "log", "sqrt", "sin", "cos", "abs"]),
+            children,
+        ),
+        st.builds(lambda base, power: expr.Call("pow", (base, power)), children, children),
+    )
+
+
+def _outcome(fn, tree, x):
+    try:
+        return fn(tree, x)
+    except EvaluationError as exc:
+        return exc
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestAgainstCheckedWalk:
+    """evaluate against evaluate_ref, the walk that checks each node's
+    domain and finiteness by hand: bit-identical values, or an error of
+    the same type and message."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.recursive(_LEAVES, _extend, max_leaves=8), st.lists(_POINTS, min_size=1, max_size=6))
+    def test_same_values_and_messages(self, tree, points):
+        expected = [_outcome(evaluate_ref, tree, x) for x in points]
+        for x, want in zip(points, expected):
+            got = _outcome(evaluate, tree, x)
+            assert type(got) is type(want)
+            if isinstance(want, EvaluationError):
+                assert str(got) == str(want)
+            else:
+                assert _bits(got) == _bits(want)
+        errors = [o for o in expected if isinstance(o, EvaluationError)]
+        got = _outcome(evaluate, tree, np.array(points))
+        if errors:  # an array raises the error of its first bad point
+            assert isinstance(got, EvaluationError) and str(got) == str(errors[0])
+        else:
+            assert _bits(got) == _bits(evaluate_ref(tree, np.array(points)))
 
 
 class TestEvaluation:
