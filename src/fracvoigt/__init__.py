@@ -21,13 +21,12 @@ from .nonlinear import (
     residual,
     solve_nonlinear,
 )
-from .special import MLParams, ml_eval, ml_one
+from .special import MLParams, ml_eval
 from .voigt import (
     PicardResult,
     SolverConfig,
     VoigtParams,
     creep_function,
-    creep_function_alt,
     linear_strain,
     picard_linear,
 )
@@ -51,11 +50,9 @@ __all__ = [
     "apply_T",
     "check_hypotheses",
     "creep_function",
-    "creep_function_alt",
     "linear_strain",
     "ml_eval",
     "ml_kernel_convolve",
-    "ml_one",
     "picard_linear",
     "residual",
     "rl_integral",

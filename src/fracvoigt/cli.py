@@ -12,20 +12,18 @@ and a non-convergence warning or None.  run() alone writes: it opens -o,
 only once the computation succeeded, or takes stdout, writes the lines and
 then prints the warning.
 
-Curves are written as CSV with header ``t,value``, one row per grid point
-at full round-trip precision, followed by ``#``-prefixed trailer comments
-carrying solver metadata.  Exit codes: 0 success, 1 exactly when a
-non-convergence warning is printed (the output is still written, flagged
-in the trailer), 2 usage error, 3 I/O error.  Set
+The CSV format and the exit codes are those of the help's epilog
+(_EXPR_HELP); exit code 1 comes exactly with a printed non-convergence
+warning, and the output is still written, flagged in the trailer.  Set
 FRACVOIGT_LOG=debug|info|warning for logging verbosity.
 
 Flag values are checked by the library types they build; run() names the
 flag whose field leads a DomainError (``--eta must be positive``).  The
 model-range error leads with ``t / tau``, no flag: --t-end, --eta, --e-mod
-or a --stress-csv grid can each bring it into range.  The CLI
-itself checks only the --stress-csv format and the MAX_N and MAX_ITER
-caps on --n and --max-iter.  numpy's floating-point warnings are off while
-a subcommand runs: the library's finiteness checks report instead.
+or a --stress-csv grid can each bring it into range.  The CLI itself
+checks only the --stress-csv format and the MAX_N and MAX_ITER caps on
+--n and --max-iter.  numpy's floating-point warnings are off while a
+subcommand runs: the library's finiteness checks report instead.
 """
 
 from __future__ import annotations
@@ -59,12 +57,10 @@ logger = logging.getLogger("fracvoigt.cli")
 # named stress histories, each an expression in t
 STRESS_BUILTINS = {"zero": "0", "unit-step": "1", "ramp": "t"}
 
-# Largest --n: a run holds about 150 bytes per grid point at its peak (113
-# traced, 150 of RSS at n = 262144 for creep, strain, picard and solve), so
-# the cap bounds one run near 0.6 GB.
+# Largest --n: it bounds the peak memory of one run near 0.6 GB.
 MAX_N = 1 << 22
-# Largest --max-iter: over 500 times the most sweeps any seeded law needs
-# (17), so a run that cannot converge stops in seconds, not hours.
+# Largest --max-iter: far above the sweeps a converging law needs, so a run
+# that cannot converge stops in seconds, not hours.
 MAX_ITER = 10000
 
 
@@ -367,8 +363,8 @@ def main() -> int:
     """Entry point of the fracvoigt command and of python -m fracvoigt:
     run() on the process's argv.  The process exits next, so main() then
     freezes the collector's heap: the collections that interpreter
-    shutdown makes would each walk the ~22000 objects the imports left
-    (3.6 ms a full pass), and a frozen object is never walked again."""
+    shutdown makes would each walk every object the imports left, and a
+    frozen object is never walked again."""
     code = run()
     gc.freeze()
     return code

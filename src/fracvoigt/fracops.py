@@ -16,16 +16,12 @@ F(t) = I^2 k(t) = t^(a+1) E[a,a+2](-(t/tau)^a).  On the grid t_m = m h,
 
 W_m is the integral of k against a hat function and B_j against a half
 hat, so every weight is positive, since k is, wherever it exceeds the
-rounding of the differences (about eps m of the plateau tau^a).  The
-algebraic tail of alpha < 1 falls below it late in the long-time range:
-at n = 16384 the first weight <= 0 appears near (t/tau)^a = 2e3 at
-alpha = 0.999, 1e5 at 0.95, 2e5 at 0.9 and 5e5 at alpha <= 0.7 (at
-n = 4096, only for alpha >= 0.99).  Such weights are rounding noise of
-either sign, and the outputs stay exact to rounding: the weights' apply
-to a unit step meets I^1 k(t_j) within 5.3e-15 of its largest value
-over 3000 draws with alpha in [0.05, 1), (t/tau)^a up to the cap and n
-up to 4096.  The exponential kernel of alpha = 1 (finite tau) takes no
-differences.  With r = h/tau and q = e^(-r) its weights are geometric,
+rounding of the differences (about eps m of the plateau tau^a).  Late in
+the long-time range the algebraic tail of alpha < 1 falls below it; such
+weights are rounding noise of either sign, and the outputs stay exact to
+rounding (test_fracops).  The exponential kernel of alpha = 1 (finite
+tau) takes no differences.  With r = h/tau and q = e^(-r) its weights
+are geometric,
 
     W_0 = F(h)/h = tau (1 + expm1(-r)/r),
     W_m = I^1 k(h)^2 q^(m-1) / h = (4 tau^2/h) e^(-t_m/tau) sinh^2(r/2),
@@ -36,19 +32,16 @@ expm1 forms lose 1/r of their digits where h << tau.  The rule is exact
 for piecewise-linear data and converges at O(h^2) for smooth data while
 h << tau.  Where h >> tau the kernel's algebraic tail meets the
 interpolation error in the last cell, and the error, about h^2 (tau/h)^a,
-falls as h^(2-a): a fourfold refinement cuts it 4.6 times at alpha = 0.9
-and 8 times at alpha = 0.5 (test_fracops).  rl_integral is the case
-tau = inf, where k(t) = t^(a-1)/Gamma(a).
+falls as h^(2-a) (test_fracops).  rl_integral is the case tau = inf,
+where k(t) = t^(a-1)/Gamma(a).
 
 Constant data c need no weights: the sums telescope to c I^1 k(t_j), the
-exact response to a constant load (the creep function times eta^a), so
-an apply of constant data is c times the step response I^1 k(t_j),
-memoized per (alpha, tau, h, n), and zero data give +0.0.  The weights
-are memoized per (alpha, tau, h, n) as B together with the spectrum
-rfft(W, 2n); one array evaluation of F at t_0..t_n and the step response
-build them (the step response gives B's first term).  An apply of any
-other data is then one rfft of the data, one product and one irfft:
-O(n log n).  Two rules keep the FFT's rounding (about 1e-16 of the
+exact response to a constant load (the creep function times eta^a), and
+zero data give +0.0.  The step response and the weights, B with the
+spectrum rfft(W, 2n), are memoized per (alpha, tau, h, n); one array
+evaluation of F at t_0..t_n and the step response build the weights.  An
+apply of any other data is then one rfft of the data, one product and
+one irfft: O(n log n).  Two rules keep the FFT's rounding (about 1e-16 of the
 largest output) from showing where the direct sum has none:
 
 * causality: the data enter from their first nonzero sample on, so the

@@ -6,20 +6,16 @@ The model is solved as a fixed-point problem for the integral operator
                  E[a,a](-((t-s)/tau)^a) sigma(eps(s)) ds,
 
 iterated from eps = 0 in voigt._fixed_point, the loop that also runs
-picard_linear, with Anderson mixing of depth 3: each iterate combines the
-last image with the differences of the last three images and residuals, so
-slowly contracting laws need about half the sweeps of plain substitution.
-The mixing falls back to the plain step, and forgets its history, when its
-3x3 system is singular, extrapolates too far or leaves eps >= 0 from an
-image >= 0.  The returned solution is always an image T(eps) (or its
+picard_linear, with Anderson mixing of depth 3 and the loop's safeguards:
+slowly contracting laws need about half the sweeps of plain substitution
+(test_nonlinear).  The returned solution is always an image T(eps) (or its
 damped form): at damping 1, exactly 0 at t = 0 and >= 0 for sigma >= 0.
 Existence of a positive bounded solution is guaranteed for continuous,
 convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
 at infinity, but no contraction property comes with it: convergence of the
 iteration is empirical and reported honestly on the result, never presumed.
-check_hypotheses probes those structural conditions numerically, on one
-fixed probe: 200 log-spaced strains on [1e-8, 1e8], compared to a
-tolerance of 1e-12.  Its verdict is a threshold-based sanity check, not a
+check_hypotheses probes those structural conditions numerically on one
+fixed probe; its verdict is a threshold-based sanity check, not a
 certificate.
 """
 

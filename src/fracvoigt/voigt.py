@@ -1,19 +1,15 @@
 """Linear fractional Kelvin-Voigt creep model.
 
 The strain under a given stress history is the weakly singular Volterra
-convolution computed by fracops.ml_kernel_convolve; the creep function has
-two equivalent closed forms (a one-parameter and a two-parameter
-Mittag-Leffler expression) kept side by side so their identity can be
-tested; and picard_linear reproduces the same solution by successive
-approximation of the underlying second-kind Volterra equation,
+convolution computed by fracops.ml_kernel_convolve; the creep function is
+its step response; and picard_linear reproduces the same solution by
+successive approximation of the underlying second-kind Volterra equation,
 
     eps_m = I^a sigma / eta^a - I^a eps_{m-1} / tau^a,
     eps_0 = I^a sigma / eta^a,
 
-using only the discrete fractional integral.  _fixed_point is the one
-iteration loop of the package: picard_linear and nonlinear.solve_nonlinear
-each supply only their step, their starting iterate and whether the loop
-mixes (solve_nonlinear) or not (picard_linear).
+using only the discrete fractional integral, in _fixed_point, the one
+iteration loop of the package.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fracops import Signal, _model_arg, ml_kernel_convolve, rl_integral
-from .special import Z_MAX_NEG, _contour_nodes, _contour_sum, ml_one
+from .special import Z_MAX_NEG, _contour_nodes, _contour_sum
 
 __all__ = [
     "VoigtParams",
@@ -35,7 +31,6 @@ __all__ = [
     "PicardResult",
     "linear_strain",
     "creep_function",
-    "creep_function_alt",
     "picard_linear",
 ]
 
@@ -46,9 +41,7 @@ class VoigtParams:
 
     tau = eta / e_mod is derived, never stored, so the retardation-time
     invariant cannot be violated by construction; it must be positive and
-    finite, which eta and e_mod alone do not ensure.  creep_function's
-    constants are formed once per object, on its first call (_creep, not
-    a field).
+    finite, which eta and e_mod alone do not ensure.
     """
 
     eta: float
@@ -74,9 +67,9 @@ class VoigtParams:
 
     @cached_property
     def _creep(self) -> tuple:
-        """(alpha, tau, plateau, nodes) for creep_function: nodes are the
-        contour nodes of E[alpha,alpha+1], those of the step response.  Not
-        a field, so ==, hash and repr ignore it."""
+        """(alpha, tau, plateau, nodes) for creep_function, formed on its
+        first call: nodes are the contour nodes of E[alpha,alpha+1], those
+        of the step response.  Not a field, so ==, hash and repr ignore it."""
         a, tau = self.alpha, self.tau
         return a, tau, (tau / self.eta) ** a, _contour_nodes(a, a + 1.0)
 
@@ -97,13 +90,10 @@ class SolverConfig:
 
 @dataclass
 class PicardResult:
-    """Outcome of a fixed-point run (_fixed_point).
-
-    converged equals final_diff < tol * max(1, sup|solution|), the stop of
-    the config that produced the result; diff_history holds
-    sup|step(x_k) - x_k|, one entry per iteration, with final_diff its last
-    entry; solution is the last image.
-    """
+    """Outcome of a fixed-point run (_fixed_point): solution is the last
+    image, diff_history holds sup|step(x_k) - x_k|, one entry per
+    iteration, final_diff is its last entry, and converged equals
+    final_diff < tol * max(1, sup|solution|) for the config's tol."""
 
     solution: Signal
     iterations: int
@@ -122,12 +112,12 @@ def _creep_times(t):
     array; every time must be finite and nonnegative."""
     if isinstance(t, (float, int)) or np.ndim(t) == 0:
         t = float(t)
-        valid = 0.0 <= t < math.inf
+        bad = [] if 0.0 <= t < math.inf else [t]
     else:
         t = np.asarray(t, dtype=float)
-        valid = bool(np.all(np.isfinite(t) & (t >= 0.0)))
-    if not valid:
-        raise DomainError(f"creep time must be nonnegative, got {t!r}")
+        bad = t[~((t >= 0.0) & (t < math.inf))]  # in array order; NaN fails both
+    if len(bad):
+        raise DomainError(f"creep time must be finite and nonnegative, got {float(bad[0])!r}")
     return t
 
 
@@ -141,8 +131,10 @@ def creep_function(params: VoigtParams, t):
     +0.0.  Nonnegative, nondecreasing, bounded by the plateau; reduces to
     (1/E)(1 - exp(-t/tau)) at alpha = 1.  A float time t > 0 with
     (t/tau)^alpha <= Z_MAX_NEG skips the validation; every other time is
-    validated first.  Tau, the plateau and the contour nodes come from
-    params._creep, so repeated calls on one params form them once.
+    validated first: DomainError names the first time, in array order,
+    that is not finite and nonnegative, else a window past the model's
+    range.  Tau, the plateau and the contour nodes come from params._creep,
+    so repeated calls on one params form them once.
     """
     a, tau, plateau, nodes = params._creep
     if not (type(t) is float and t > 0.0 and (x := (t / tau) ** a) <= Z_MAX_NEG):
@@ -150,19 +142,10 @@ def creep_function(params: VoigtParams, t):
     return plateau * x * _contour_sum(nodes, x)
 
 
-def creep_function_alt(params: VoigtParams, t):
-    """Equivalent one-parameter form of the creep function,
-    (tau/eta)^a (1 - E_a(-(t/tau)^a)), at a time or an array of times;
-    kept separate so the series identity between the two forms stays
-    testable.  It loses relative accuracy where (t/tau)^a is small."""
-    a, tau = params.alpha, params.tau
-    return (tau / params.eta) ** a * (1.0 - ml_one(a, _model_arg(a, tau, _creep_times(t))))
-
-
 # Largest sum |gamma| of a mixed step.  A larger one extrapolates far past
 # the last few iterates, where the secant model behind the mixing no longer
 # holds (Toth & Kelley 2015 assume the coefficients bounded); the loop takes
-# the plain step there.  Values from 2 to 4 gave the same sweep counts.
+# the plain step there.
 _MIX_BOUND = 3.0
 
 
@@ -183,13 +166,11 @@ def _fixed_point(
         x_(k+1) = step(x_k) - gamma . Delta G,
         (Delta F Delta F^T) gamma = Delta F f_k.
 
-    Delta F and Delta G sit in preallocated (depth, n+1) buffers, and the
-    Gram matrix takes one new row of dot products per iteration.  Three
-    safeguards take the plain step instead and clear the history, before
-    step is called: a singular Gram system; a gamma that is not finite or
-    has sum |gamma| above _MIX_BOUND; and a mixed iterate that leaves the
-    cone x >= 0 the image it was mixed from lies in, so a law total on
-    eps >= 0 is never called outside it.  picard_linear stays plain
+    Three safeguards take the plain step instead and clear the history,
+    before step is called: a singular Gram system; a gamma that is not
+    finite or has sum |gamma| above _MIX_BOUND; and a mixed iterate that
+    leaves the cone x >= 0 the image it was mixed from lies in, so a law
+    total on eps >= 0 is never called outside it.  picard_linear stays plain
     (depth 0): its iterates are then the partial sums of the Neumann
     series, which acceptance criterion 06 and its tests check term by term.
 
@@ -249,17 +230,13 @@ def picard_linear(
     params: VoigtParams, stress: Signal, cfg: SolverConfig | None = None
 ) -> PicardResult:
     """Solve the linear model by successive approximation from
-    eps_0 = I^a sigma / eta^a.
-
-    Stops when the sup-norm difference of consecutive iterates drops below
-    cfg.tol * max(1, sup of the new one); non-convergence within cfg.max_iter
-    is reported on the result, not raised (both are _fixed_point's).  The
-    iterates are partial sums of the Neumann series, which peak near
-    e^(t/tau) before they cancel, so the sweeps grow with t_end/tau,
-    whatever alpha: at n = 256 and tol 1e-8 a unit step takes 24-84 sweeps
-    at t_end/tau = 5, 54-183 at 15 and 107-308 at 20 (alpha 1 to 0.3), and
-    none converges within 2000 at 25.  The default 200 sweeps thus cover
-    t_end/tau <= 15; past that use linear_strain, which is direct.
+    eps_0 = I^a sigma / eta^a, with _fixed_point's stop; non-convergence is
+    reported on the result, not raised.  The iterates are partial sums of
+    the Neumann series, which peak near e^(t/tau) before they cancel, so
+    the sweeps grow with t_end/tau, whatever alpha: the default 200 sweeps
+    cover t_end/tau <= 15 (test_voigt).  Past that use linear_strain, which
+    is direct.  DomainError names a window past the model's range, or
+    iterates that overflow float64.
     """
     a = params.alpha
     _model_arg(a, params.tau, stress.grid.t_end)  # the range rule of every operator

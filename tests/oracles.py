@@ -29,7 +29,9 @@ seed LARGE_BETA_SEED), from the asymptotic series, with:
     python tests/oracles.py --large-beta tests/data/ml_large_beta.csv
 
 The module imports the package for ml_deriv_sign_probe, the finite
-differences of the complete-monotonicity checks.  evaluate_ref is the
+differences of the complete-monotonicity checks, and for ml_one and
+creep_function_alt, the one-parameter closed form of the creep function
+that acceptance criterion 03 holds creep_function to.  evaluate_ref is the
 reference for expression evaluation: a walk that tests each node's domain
 and the finiteness of its value by hand.
 """
@@ -49,7 +51,9 @@ import numpy as np
 
 from fracvoigt.errors import DomainError, EvaluationError
 from fracvoigt.expr import BinOp, Call, Neg, Num, Var, to_source
-from fracvoigt.special import MLParams, _eval_masked
+from fracvoigt.fracops import _model_arg
+from fracvoigt.special import MLParams, _eval_masked, ml_eval
+from fracvoigt.voigt import _creep_times
 
 # Series is considered practical while |z|^(1/alpha) stays below this.
 _SERIES_U_CAP = 140.0
@@ -169,6 +173,20 @@ def ml_deriv_sign_probe(p: MLParams, x: float, n: int, h: float) -> float:
     for (_, coeff), value in zip(stencil, values):
         acc += coeff * float(value)
     return acc / h**n if n > 0 else acc
+
+
+def ml_one(alpha: float, z):
+    """One-parameter Mittag-Leffler function E[alpha](z) = E[alpha,1](z)."""
+    return ml_eval(MLParams(alpha, 1.0), z)
+
+
+def creep_function_alt(params, t):
+    """The one-parameter form of the creep function,
+    (tau/eta)^a (1 - E_a(-(t/tau)^a)), at a time or an array of times,
+    validated as creep_function validates them.  It loses relative
+    accuracy where (t/tau)^a is small, where 1 - E_a cancels."""
+    a, tau = params.alpha, params.tau
+    return (tau / params.eta) ** a * (1.0 - ml_one(a, _model_arg(a, tau, _creep_times(t))))
 
 
 def rk4_solve(f, y0: float, t_grid, substeps: int = 20):

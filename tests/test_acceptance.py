@@ -26,13 +26,12 @@ from fracvoigt.voigt import (
     SolverConfig,
     VoigtParams,
     creep_function,
-    creep_function_alt,
     linear_strain,
     picard_linear,
 )
 
 from expr_cases import PRECEDENCE_CASES, random_expression
-from oracles import ml_deriv_sign_probe, ml_ref, rk4_solve
+from oracles import creep_function_alt, ml_deriv_sign_probe, ml_ref, rk4_solve
 
 DATA = Path(__file__).parent / "data" / "ml_reference.csv"
 

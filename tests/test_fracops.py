@@ -335,6 +335,26 @@ class TestFftApply:
         impulse[0] = 1.0
         assert np.all(linear_strain(p, Signal(g, impulse)).values[1:] > 0.0)
 
+    def test_weights_apply_to_a_step_is_the_step_response(self):
+        # the weights' sums telescope to I^1 k(t_j), so their FFT apply to a
+        # unit step meets it to rounding (5.3e-15 of its largest value over
+        # 3000 draws), also late in the long-time range, where the algebraic
+        # tail of alpha < 1 leaves weights of either sign (at n = 4096 and
+        # alpha = 0.999, none up to (t/tau)^a = 1e4, 104 B_j <= 0 at 1e5)
+        def apply_error(alpha, x_end, n):
+            h = x_end ** (1.0 / alpha) / n  # tau = 1
+            got = _pt_apply(_kernel_weights(alpha, 1.0, h, n), np.ones(n + 1))[1:]
+            step = _step_response(alpha, 1.0, h, n)
+            return np.max(np.abs(got - step)) / np.max(step)
+
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            n = int(rng.choice([64, 1024, 4096]))
+            assert apply_error(rng.uniform(0.05, 1.0), 10 ** rng.uniform(-3, 5.99), n) <= 1e-14
+        assert apply_error(0.999, 1e5, 4096) <= 1e-14
+        b, _ = _kernel_weights(0.999, 1.0, 1e5 ** (1.0 / 0.999) / 4096, 4096)
+        assert np.any(b <= 0.0)
+
     def test_spectrum_cached_per_kernel(self):
         p = VoigtParams(1.0, 2.0, 0.5)
         g = Grid(1.0, 64)

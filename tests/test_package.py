@@ -18,10 +18,12 @@ def test_all_exports_resolve():
 
 
 def test_special_exports_only_the_function():
-    # the complete-monotonicity probe serves the tests alone (tests/oracles.py)
-    assert fracvoigt.special.__all__ == ["MLParams", "ml_eval", "ml_one"]
+    # the complete-monotonicity probe and the one-parameter forms serve the
+    # tests alone (tests/oracles.py)
+    assert fracvoigt.special.__all__ == ["MLParams", "ml_eval"]
     assert set(fracvoigt.special.__all__) <= set(fracvoigt.__all__)
-    assert not hasattr(fracvoigt, "ml_deriv_sign_probe")
+    for name in ("ml_deriv_sign_probe", "ml_one", "creep_function_alt"):
+        assert not hasattr(fracvoigt, name)
 
 
 def test_parse_error_is_a_library_error():
