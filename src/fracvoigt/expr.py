@@ -205,29 +205,31 @@ def parse(src: str, var_name: str) -> Expr:
     return node
 
 
+def _defined(out: np.ndarray) -> bool:
+    """Whether every value of the array out is real and finite."""
+    return out.dtype.kind != "c" and bool(np.isfinite(out).all())
+
+
 def _first_failure(fn, values: np.ndarray, errors) -> int:
     """Index of the first point of the 1-d array values where fn fails,
-    given that it fails on the whole array.  fn fails on an array where it
-    raises one of errors or returns a value that is not finite.  Prefixes
-    of values that double in length, then bisection, find a first failure
-    at index i in about 2 log2(i + 1) calls of fn."""
+    given that fn maps arrays elementwise and fails on all of values: it
+    raises one of errors or returns a value that is not _defined.  Windows
+    that double in length, then halve, find a first failure at index i in
+    about 2 log2(i + 1) calls of fn on about 3 i points in all."""
 
-    def fails(m: int) -> bool:
+    def fails(lo: int, hi: int) -> bool:
         try:
-            return not np.isfinite(np.asarray(fn(values[:m]), dtype=float)).all()
+            return not _defined(np.asarray(fn(values[lo:hi])))
         except errors:
             return True
 
-    lo, hi = 0, 1  # the first lo points pass; the first hi hold a failure
-    while hi < len(values) and not fails(hi):
+    lo, hi = 0, 1  # values[:lo] pass; values[lo:hi] is the next window
+    while hi < len(values) and not fails(lo, hi):
         lo, hi = hi, 2 * hi
-    hi = min(hi, len(values))
+    hi = min(hi, len(values))  # values[lo:hi] holds a failure
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if fails(mid):
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if fails(lo, mid) else (mid, hi)
     return lo
 
 
@@ -237,8 +239,7 @@ def evaluate(e: Expr, x):
     tree with numpy ufuncs.  A non-finite x where the tree reads the
     variable, and a floating-point flag other than underflow at a node,
     raise EvaluationError naming that subexpression.  An array raises the
-    error of the scalar call at its first bad point, which bisection over
-    prefixes of the array finds."""
+    error of the scalar call at its first bad point (_first_failure)."""
     with np.errstate(all="call", under="ignore", call=_raise_flag):
         try:
             value = _eval(e, np.asarray(x, dtype=float))

@@ -6,22 +6,19 @@ The model is solved as a fixed-point problem for the integral operator
                  E[a,a](-((t-s)/tau)^a) sigma(eps(s)) ds,
 
 iterated from eps = 0 in voigt._fixed_point, the loop that also runs
-picard_linear, with Anderson mixing of depth 3 and the loop's safeguards:
-slowly contracting laws need about half the sweeps of plain substitution
-(test_nonlinear).  The returned solution is always an image T(eps) (or its
-damped form): at damping 1, exactly 0 at t = 0 and >= 0 for sigma >= 0.
-Existence of a positive bounded solution is guaranteed for continuous,
-convex, decreasing sigma with sigma(eps)/eps unbounded at 0 and vanishing
-at infinity, but no contraction property comes with it: convergence of the
-iteration is empirical and reported honestly on the result, never presumed.
-check_hypotheses probes those structural conditions numerically on one
-fixed probe; its verdict is a threshold-based sanity check, not a
-certificate.
+picard_linear, with Anderson mixing of depth 3 and the loop's safeguards.
+The returned solution is always an image T(eps) (or its damped form): at
+damping 1, exactly 0 at t = 0 and >= 0 for sigma >= 0.  Existence of a
+positive bounded solution is guaranteed for continuous, convex, decreasing
+sigma with sigma(eps)/eps unbounded at 0 and vanishing at infinity, but no
+contraction property comes with it: convergence of the iteration is
+empirical and reported honestly on the result, never presumed.
+check_hypotheses probes those conditions numerically on one fixed probe;
+its verdict is a threshold-based sanity check, not a certificate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -53,79 +50,73 @@ _PROBE_LOW = 1e-8
 _PROBE_HIGH = 1e8
 _PROBE_SAMPLES = 200
 _PROBE_TOL = 1e-12
+# what a law's fn raises where it is undefined (float() of a complex: TypeError)
+_LAW_ERRORS = (ArithmeticError, ValueError, TypeError)
 
 
 @dataclass(frozen=True)
 class ConstitutiveLaw:
-    """A stress-strain law sigma(eps), total and finite for eps >= 0.
-
-    on_arrays marks an fn that also maps a whole array of strains
-    elementwise (expression and table laws); other callables are applied
-    one point at a time."""
+    """A stress-strain law sigma(eps), total and finite for eps >= 0.  fn
+    maps a 1-d array of strains elementwise; map_values alone calls it."""
 
     kind: str
-    fn: Callable[[float], float]
-    on_arrays: bool = False
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, eps: float) -> float:
-        try:
-            value = float(self.fn(eps))
-        except (ArithmeticError, ValueError, TypeError) as exc:  # float(complex): TypeError
-            raise EvaluationError(
-                f"constitutive law ({self.kind}) undefined at eps={eps!r}: {exc}"
-            ) from exc
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"constitutive law ({self.kind}) returned {value!r} at eps={eps!r}"
-            )
-        return value
+        return float(self.map_values(np.array([float(eps)]))[0])
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
-        """sigma at every strain in values: one call when fn takes arrays.
-        Where that call fails, bisection over prefixes of values finds the
-        first bad eps, and the scalar call there raises its error."""
-        if self.on_arrays:
-            errors = (ArithmeticError, ValueError)
-            try:
-                out = np.asarray(self.fn(values), dtype=float)
-                if np.isfinite(out).all():
-                    return out
-            except errors:
-                pass
-            bad = expr._first_failure(self.fn, values, errors)
-            self(float(values[bad]))  # raises unless fn maps arrays and floats differently
-        return np.array([self(float(v)) for v in values])
+        """sigma at every strain of the 1-d array values, by one call of fn,
+        or EvaluationError: at once for an output of another shape, else at
+        the first strain where fn raises one of _LAW_ERRORS or gives a
+        complex or non-finite value, found by expr._first_failure."""
+        law = f"constitutive law ({self.kind})"
+        try:
+            out = np.asarray(self.fn(values))
+            defined = expr._defined(out)
+        except _LAW_ERRORS:
+            out, defined = values, False
+        if out.shape != values.shape:
+            raise EvaluationError(f"{law} maps {values.shape} strains to shape {out.shape}")
+        if defined:
+            return np.asarray(out, dtype=float)
+        eps = float(values[expr._first_failure(self.fn, values, _LAW_ERRORS)])
+        try:
+            value = np.asarray(self.fn(np.array([eps]))).tolist()[0]
+        except _LAW_ERRORS as exc:
+            raise EvaluationError(f"{law} undefined at eps={eps!r}: {exc}") from exc
+        raise EvaluationError(f"{law} returned {value!r} at eps={eps!r}")
 
     @classmethod
     def from_expression(cls, src: str) -> "ConstitutiveLaw":
         tree = expr.parse(src, "eps")
-        return cls(
-            kind=f"expression:{src}", fn=lambda e: expr.evaluate(tree, e), on_arrays=True
-        )
+        return cls(kind=f"expression:{src}", fn=lambda e: expr.evaluate(tree, e))
 
     @classmethod
-    def from_table(
-        cls, strains: np.ndarray, stresses: np.ndarray
-    ) -> "ConstitutiveLaw":
+    def from_table(cls, strains: np.ndarray, stresses: np.ndarray) -> "ConstitutiveLaw":
         """Piecewise-linear law through sampled (strain, stress) pairs;
         constant extrapolation outside the sampled range."""
-        s = np.asarray(strains, dtype=float)
-        v = np.asarray(stresses, dtype=float)
+        s, v = np.asarray(strains, dtype=float), np.asarray(stresses, dtype=float)
         if s.ndim != 1 or s.shape != v.shape or len(s) < 2:
             raise DomainError("law table needs two equal-length 1-d columns")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
             raise DomainError("law table entries must be finite")
         if np.any(np.diff(s) <= 0):
             raise DomainError("law table strains must be strictly increasing")
-        return cls(
-            kind="table",
-            fn=lambda e: np.interp(e, s, v),
-            on_arrays=True,
-        )
+        return cls(kind="table", fn=lambda e: np.interp(e, s, v))
 
     @classmethod
     def from_callable(cls, fn: Callable[[float], float], name: str = "custom"):
-        return cls(kind=name, fn=fn)
+        """A law from fn, a function of one float strain.  A complex value
+        fails: a Python complex by float()'s TypeError, a numpy one as a
+        complex array, which a cast to float would cut to its real part."""
+
+        def lifted(e: np.ndarray) -> np.ndarray:
+            out = [fn(x) for x in e.tolist()]
+            cplx = any(issubclass(t, np.complexfloating) for t in set(map(type, out)))
+            return np.array(out, dtype=complex if cplx else float)
+
+        return cls(kind=name, fn=lifted)
 
 
 def apply_T(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> Signal:

@@ -73,19 +73,6 @@ class MLParams:
             raise DomainError(f"beta must be positive, got {self.beta!r}")
 
 
-# one entry per 64-term block (~0.6 KiB): an evaluation at small alpha near
-# Z_MAX_POS walks up to 125 blocks of one (alpha, beta), so fewer would
-# rebuild the whole column on every repeat at that pair
-@lru_cache(maxsize=256)
-def _series_lgamma(alpha: float, beta: float, block: int) -> np.ndarray:
-    """Column of lgamma(alpha n + beta) over the terms n of one block."""
-    start = block * _SERIES_BLOCK
-    lg = [lgamma(alpha * n + beta) for n in range(start, start + _SERIES_BLOCK)]
-    column = np.array(lg)[:, None]
-    column.flags.writeable = False
-    return column
-
-
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E[a,b](z) at the points of the array z > 0 by the defining series.
 
@@ -105,8 +92,9 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     total = np.zeros((1, z.size))
     prev = np.full((1, z.size), -np.inf)  # ln of the term before; term 0 never stops
     for block in range(_SERIES_MAX_TERMS // _SERIES_BLOCK):
-        n = np.arange(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
-        ln_t = n[:, None] * ln_z[live] - _series_lgamma(alpha, beta, block)
+        n = range(block * _SERIES_BLOCK, (block + 1) * _SERIES_BLOCK)
+        lg = np.array([lgamma(alpha * k + beta) for k in n])[:, None]
+        ln_t = np.array(n)[:, None] * ln_z[live] - lg
         with np.errstate(over="ignore"):  # overflow is found and raised below
             t = np.exp(ln_t)
             sums = np.cumsum(np.vstack((total, t)), axis=0)[1:]

@@ -424,28 +424,53 @@ class TestArrayLaws:
     @pytest.mark.parametrize("how", ["raises", "returns inf"])
     @pytest.mark.parametrize("first_bad", [0, 1, 4999, 12345, 19898, 19899])
     def test_first_bad_eps_found_by_bisection(self, how, first_bad):
-        # a pole at one strain of 19900: the array call fails, and bisection
-        # over prefixes finds the pole in about log2(19900) ~ 15 calls, not
-        # one call per strain up to the pole
+        # a pole at one strain of 19900: the array call fails, and windows
+        # that double, then halve, find the pole in about 2 log2(19900) ~ 29
+        # calls on about 3 (first_bad + 1) strains in all, not one call per
+        # strain up to the pole
         values = np.linspace(0.0, 2.0, 19900)
         pole = values[first_bad]
         calls = []
 
         def fn(e):
-            calls.append(e)
+            calls.append(np.size(e))
             if how == "raises" and np.any(e == pole):
                 raise ZeroDivisionError("pole")
             return np.where(e == pole, np.inf, 1.0)
 
-        law = ConstitutiveLaw("pole", fn, on_arrays=True)
+        law = ConstitutiveLaw("pole", fn)
         with pytest.raises(EvaluationError) as array:
             law.map_values(values)
+        assert calls[0] == values.size
         assert len(calls) <= 2 * math.log2(values.size) + 2
-        pointwise = ConstitutiveLaw("pole", fn)
+        assert sum(calls[1:]) <= 4 * (first_bad + 1)
+        pointwise = ConstitutiveLaw.from_callable(fn, "pole")
         with pytest.raises(EvaluationError) as scalar:
             pointwise.map_values(values)
         assert str(array.value) == str(scalar.value)
         assert f"eps={float(pole)!r}" in str(array.value)
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            ConstitutiveLaw.from_callable(lambda e: np.emath.sqrt(1.0 - e), "sqrt"),
+            ConstitutiveLaw("sqrt", lambda e: np.emath.sqrt(1.0 - e)),
+        ],
+        ids=["callable", "array"],
+    )
+    def test_complex_value_raises(self, law):
+        # numpy's casts would keep the real part, 0.0 at eps = 2
+        message = r"^constitutive law \(sqrt\) returned 1j at eps=2.0$"
+        with pytest.raises(EvaluationError, match=message):
+            law(2.0)
+        with pytest.raises(EvaluationError, match=r"returned 0.5j at eps=1.25$"):
+            law.map_values(np.linspace(0.0, 2.0, 9))
+
+    def test_array_law_of_another_shape_raises(self):
+        law = ConstitutiveLaw("constant", lambda e: 1.0)
+        message = r"^constitutive law \(constant\) maps \(3,\) strains to shape \(\)$"
+        with pytest.raises(EvaluationError, match=message):
+            law.map_values(np.ones(3))
 
     def test_callable_law_mapped_point_by_point(self):
         seen = []

@@ -238,7 +238,7 @@ def test_solve_stays_nonnegative(src, alpha, ratio, n):
         return law.fn(eps)
 
     p = VoigtParams(eta=0.5, e_mod=1.0, alpha=alpha)
-    res = solve_nonlinear(p, ConstitutiveLaw(law.kind, fn, on_arrays=True), Grid(ratio * p.tau, n))
+    res = solve_nonlinear(p, ConstitutiveLaw(law.kind, fn), Grid(ratio * p.tau, n))
     assert min(lowest) >= 0.0
     if res.converged:
         assert res.solution.values[0] == 0.0
