@@ -283,7 +283,7 @@ def _cmd_check(args: argparse.Namespace) -> _Output:
         f"E0 estimate: {report.e0_estimate!r}",
         f"Einf estimate: {report.e_inf_estimate!r}",
         f"verdict: {'consistent with the existence hypotheses' if report.verdict else 'hypotheses not satisfied'}",
-        "note: threshold-based numerical probe, not a proof",
+        "note: numerical probe on sampled strains, not a proof",
     ]
     return [f"{line}\n" for line in lines], None
 

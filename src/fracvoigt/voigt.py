@@ -110,15 +110,11 @@ def linear_strain(params: VoigtParams, stress: Signal) -> Signal:
 def _creep_times(t):
     """Validated creep times: a scalar becomes a float, anything else an
     array; every time must be finite and nonnegative."""
-    if isinstance(t, (float, int)) or np.ndim(t) == 0:
-        t = float(t)
-        bad = [] if 0.0 <= t < math.inf else [t]
-    else:
-        t = np.asarray(t, dtype=float)
-        bad = t[~((t >= 0.0) & (t < math.inf))]  # in array order; NaN fails both
-    if len(bad):
+    arr = np.asarray(t, dtype=float)
+    bad = arr[~((arr >= 0.0) & (arr < math.inf))]  # 1-d, in array order; NaN fails both
+    if bad.size:
         raise DomainError(f"creep time must be finite and nonnegative, got {float(bad[0])!r}")
-    return t
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def creep_function(params: VoigtParams, t):

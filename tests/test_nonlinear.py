@@ -297,6 +297,18 @@ HYPOTHESIS_LAWS = [
     "1/(1+eps)", "100/(1+eps)", "1e4/(1+eps)", "10*exp(-eps)", "1e3*exp(-eps)",
     "20/(1+eps)^2", "1e3/(1+eps)^2", "1/(0.01+eps)",
 ]
+# check_hypotheses verdicts: laws whose sigma(e)/e -> inf at 0 and -> 0 at
+# inf, though their secants at 1e-8 or 1e8 can be small or large, with the
+# benchmark's long-solve laws for c in [0.5, 2.5]; and laws that rise, are
+# concave, or are not bounded below by 0 (1e-20*(1+eps) rises by less than
+# an absolute tolerance of 1e-12)
+CONSISTENT_LAWS = [
+    "0.001/(1+eps)", "0.005*exp(-eps)", "200+1/(1+eps)", "1e5/(1+eps)", "1e9*exp(-eps)",
+    "1e7/sqrt(1+eps)", *HYPOTHESIS_LAWS,
+    *(f.format(c=c) for f in ("{c!r}/(1+eps)", "{c!r}*exp(-eps)", "{c!r}/sqrt(1+eps)")
+      for c in (0.5, 1.25, 2.5)),
+]
+FAILING_LAWS = ["1-eps", "1/(1+eps)-0.5", "1e-20*(1+eps)", "eps", "-eps", "2-eps^2"]
 
 
 def test_mixing_stays_in_the_cone(monkeypatch):
@@ -349,8 +361,9 @@ class TestCheckHypotheses:
         assert report.is_decreasing
         assert report.is_convex
         assert report.sigma_at_zero == 1.0
-        assert report.e0_estimate >= 1e6
-        assert report.e_inf_estimate <= 1e-6
+        assert report.e0_estimate == pytest.approx(1e8, rel=1e-6)
+        assert report.e_inf_estimate == pytest.approx(1e-16, rel=1e-6)
+        assert report.e_inf_estimate >= 0.0  # sigma(1e8) >= 0: bounded below by 0
         assert report.verdict
 
     def test_increasing_law_fails(self):
@@ -378,9 +391,36 @@ class TestCheckHypotheses:
     def test_report_invariant(self):
         report = check_hypotheses(INV_LINEAR)
         assert isinstance(report, HypothesisReport)
-        if report.verdict:
-            assert report.is_decreasing and report.is_convex
-            assert report.sigma_at_zero > 0.0
+        assert report.verdict == (
+            report.is_decreasing
+            and report.is_convex
+            and report.sigma_at_zero > 0.0
+            and report.e_inf_estimate >= 0.0
+        )
+
+    @pytest.mark.parametrize(
+        "src, verdict",
+        [(src, True) for src in CONSISTENT_LAWS] + [(src, False) for src in FAILING_LAWS],
+    )
+    def test_verdict_table(self, src, verdict):
+        assert check_hypotheses(ConstitutiveLaw.from_expression(src)).verdict is verdict
+
+    @pytest.mark.parametrize("src", CONSISTENT_LAWS + FAILING_LAWS)
+    def test_scale_invariance(self, src):
+        # c = 2^k scales every sample and the tolerance exactly
+        def tests(report):
+            return report.is_decreasing, report.is_convex, report.verdict
+
+        want = tests(check_hypotheses(ConstitutiveLaw.from_expression(src)))
+        for k in (-60, -20, 20, 60):
+            scaled = ConstitutiveLaw.from_expression(f"{2.0**k!r}*({src})")
+            assert tests(check_hypotheses(scaled)) == want, k
+
+    def test_one_law_call(self):
+        calls = []
+        law = ConstitutiveLaw("counting", lambda e: calls.append(e.size) or 1.0 / (1.0 + e))
+        assert check_hypotheses(law).verdict
+        assert calls == [200 + 19900 + 1]
 
 
 PROBE_POINTS = np.geomspace(nonlinear._PROBE_LOW, nonlinear._PROBE_HIGH, nonlinear._PROBE_SAMPLES)
@@ -388,15 +428,15 @@ POLE = float(0.5 * (PROBE_POINTS[10] + PROBE_POINTS[11]))  # a midpoint, not a s
 
 
 def loop_is_convex(law):
-    """Midpoint convexity by the pairwise loop: the reference for the
-    array evaluation in check_hypotheses."""
+    """Midpoint convexity by the pairwise loop, to _PROBE_TOL times the
+    largest |sigma| probed: the reference for the array evaluation in
+    check_hypotheses."""
     pts = PROBE_POINTS
     vals = [law(float(e)) for e in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if law(0.5 * (pts[i] + pts[j])) > 0.5 * (vals[i] + vals[j]) + nonlinear._PROBE_TOL:
-                return False
-    return True
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    mids = [law(0.5 * (pts[i] + pts[j])) for i, j in pairs]
+    tol = nonlinear._PROBE_TOL * max(abs(v) for v in [*vals, *mids, law(0.0)])
+    return not any(m > 0.5 * (vals[i] + vals[j]) + tol for m, (i, j) in zip(mids, pairs))
 
 
 class TestArrayLaws:
@@ -483,6 +523,7 @@ class TestConvexityProbe:
     LAWS = [
         INV_LINEAR,
         ConstitutiveLaw.from_expression("1/(1+eps)"),
+        ConstitutiveLaw.from_expression("1e5/(1+eps)"),
         ConstitutiveLaw.from_expression("exp(-eps)+0.01*sin(eps)"),
         ConstitutiveLaw.from_expression("2-eps^2"),
         ConstitutiveLaw.from_callable(lambda e: 1e4 - e**2 if e < 100 else -e, "concave"),
