@@ -48,15 +48,14 @@ largest output) from showing where the direct sum has none:
   output before it is exactly 0;
 * sign: the output of nonnegative data is clipped to >= 0.
 
-Finite data near the float max can overflow where the output does not:
-their FFT sums them at frequency 0, and the operator's factor (1/eta^a,
-or h^a on the unit grid) comes last.  An apply whose output is not finite
-is therefore made once more on the data scaled by 2^-e, e the exponent of
-their largest magnitude, and the result, factor included, is scaled back
-by 2^e.  A power of two is exact, bar data below 2^(e-1022) that turn
-subnormal, which lie under the rounding of the largest output; so the
-retry gives the sums of the rule as the first apply would in a wider
-exponent range.  An apply whose first output is finite never takes it.
+Every apply runs on the data scaled by 2^-e, e the binary exponent of
+their largest magnitude, and scales the result, the operator's factor
+(1/eta^a, or h^a on the unit grid) included, back by 2^e.  A power of two
+is exact, bar data below 2^(e-1022) that turn subnormal, which lie under
+the rounding of the largest output, and subnormal outputs, rounded once
+on the way back; so the sums are those of the rule in a wider exponent
+range.  The FFT, which sums the data at frequency 0, cannot overflow on
+finite data near the float max, and subnormal data keep their digits.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class Signal:
                 f"values must have length n+1 = {self.grid.n + 1}, "
                 f"got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("signal values must all be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -125,7 +124,7 @@ class Signal:
         return cls(grid, np.zeros(grid.n + 1))
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return float(np.abs(self.values).max())
 
 
 def _model_arg(alpha: float, tau: float, t):
@@ -216,18 +215,12 @@ def _pt_apply(weights: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.
 
 def _apply(alpha: float, tau: float, h: float, f: Signal, finish, message: str) -> Signal:
     """finish(sums) as a Signal, for the product-integration sums of the
-    data f on (alpha, tau, h, n); finish applies the operator's factor.  An
-    output that overflows is made once more on f scaled by a power of two
-    (module docstring), and DomainError(message) names one that still
-    does."""
-    n = f.grid.n
-    with np.errstate(all="ignore"):  # an overflow still left is raised below
-        out = finish(_convolve(alpha, tau, h, n, f.values))
-        try:
-            return Signal(f.grid, out)
-        except DomainError:  # finite data: the sums or the factor overflowed
-            e = int(np.frexp(f.sup_norm())[1])
-        out = np.ldexp(finish(_convolve(alpha, tau, h, n, np.ldexp(f.values, -e))), e)
+    data f on (alpha, tau, h, n), made on f scaled by 2^-e and scaled back
+    (module docstring); finish applies the operator's factor, and
+    DomainError(message) names an output that overflows."""
+    e = math.frexp(f.sup_norm())[1]
+    with np.errstate(all="ignore"):  # an overflow is raised below
+        out = np.ldexp(finish(_convolve(alpha, tau, h, f.grid.n, np.ldexp(f.values, -e))), e)
     try:
         return Signal(f.grid, out)
     except DomainError:

@@ -155,7 +155,7 @@ def residual(params: VoigtParams, law: ConstitutiveLaw, eps: Signal) -> float:
     """Sup-norm of eps - T(eps): the fixed-point defect of a candidate
     solution on its grid."""
     image = apply_T(params, law, eps)
-    return float(np.max(np.abs(eps.values - image.values)))
+    return float(np.abs(eps.values - image.values).max())
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def check_hypotheses(law: ConstitutiveLaw) -> HypothesisReport:
     tol = _PROBE_TOL * np.max(np.abs(probe))
 
     is_decreasing = bool(np.all(np.diff(vals) <= tol))
-    is_convex = not np.any(mids > 0.5 * (vals[i] + vals[j]) + tol)
+    is_convex = not np.any(mids > 0.5 * vals[i] + 0.5 * vals[j] + tol)  # halves: no overflow
     return HypothesisReport(
         is_decreasing=is_decreasing,
         is_convex=is_convex,

@@ -186,7 +186,7 @@ def _fixed_point(
     for _ in range(cfg.max_iter):  # at least once: SolverConfig checks max_iter >= 1
         image = step(x)
         res = image.values - x.values
-        diff = float(np.max(np.abs(res)))
+        diff = float(np.abs(res).max())
         history.append(diff)
         if (converged := diff < cfg.tol * max(1.0, image.sup_norm())):
             break

@@ -216,6 +216,11 @@ class TestStrain:
             "--stress-csv", str(path), "--n", "64",
         ]) == 2
         assert "--n" in capsys.readouterr().err
+        assert run([
+            "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
+            "--stress-csv", str(path), "--t-end", "2",
+        ]) == 2
+        assert capsys.readouterr().err == "error: --t-end conflicts with the grid of --stress-csv\n"
 
     @pytest.mark.filterwarnings("error")  # no numpy warning on the way
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
@@ -234,6 +239,12 @@ class TestStrain:
                 "--stress-csv", str(path),
             ]) == 2
             assert capsys.readouterr().err.startswith(f"error: --stress-csv {path}: ")
+        path.write_text("t,value\n0.0,0.0\n1.0,abc\n")
+        assert run([
+            "strain", "--alpha", "0.5", "--eta", "1", "--e-mod", "2",
+            "--stress-csv", str(path),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: --stress-csv {path}: non-numeric row '1.0,abc'\n"
 
 
 class TestFlagValidation:

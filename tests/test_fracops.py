@@ -443,7 +443,7 @@ class TestConstantData:
 
 class TestOverflowRetry:
     # finite data whose sums overflow float64 where the output does not:
-    # the apply is made once more on the data scaled by a power of two
+    # every apply runs on the data scaled by a power of two, so its FFT cannot
 
     @pytest.mark.parametrize(
         "n,expr,stress",
@@ -496,12 +496,32 @@ class TestOverflowRetry:
         ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), Signal(g, 1e300 * g.points))
         rl_integral(0.5, Signal(g, g.points))
         assert len(calls) == 2
+        # data whose unscaled FFT would overflow take the one apply too
         ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), Signal(g, 1e308 * g.points))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_false_overflow_does_not_warn(self):
         # no errstate here: pytest raises numpy's RuntimeWarnings, so an FFT
-        # overflow warned by the first attempt would stop the retry
+        # overflow warned inside the apply would fail the test
         g = Grid(1.0, 64)
         out = ml_kernel_convolve(VoigtParams(1.0, 2.0, 0.5), Signal(g, 1e308 * g.points)).values
         assert np.isfinite(out).all() and 3e307 < out[-1] < 4e307
+
+    @pytest.mark.parametrize(
+        "op,t_end",
+        [
+            (lambda f: ml_kernel_convolve(VoigtParams(1e-20, 2e-20, 0.5), f), 1.0),
+            (lambda f: rl_integral(0.5, f), 1e30),
+        ],
+        ids=["strain", "integral"],
+    )
+    def test_subnormal_data_keep_their_digits(self, op, t_end):
+        # a subnormal ramp, 1e-315 at its end, whose output is normal (the
+        # strain's 1/eta^a = 1e10, the integral's h^a = 1.25e14): its apply
+        # equals, bit for bit, the apply of the data scaled by 2^1000 into
+        # the normal range, scaled back
+        g = Grid(t_end, 64)
+        f = Signal(g, 1e-315 * (g.points / t_end))
+        scaled = np.ldexp(op(Signal(g, np.ldexp(f.values, 1000))).values, -1000)
+        assert np.array_equal(op(f).values, scaled)
+        assert 1e-306 < scaled[-1] < 1e-299

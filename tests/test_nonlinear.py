@@ -44,6 +44,9 @@ class TestConstitutiveLaw:
             ConstitutiveLaw.from_table([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(DomainError):
             ConstitutiveLaw.from_table([0.0], [1.0])
+        for strains, stresses in [([0.0, math.inf], [1.0, 0.5]), ([0.0, 1.0], [1.0, math.nan])]:
+            with pytest.raises(DomainError, match="^law table entries must be finite$"):
+                ConstitutiveLaw.from_table(strains, stresses)
 
     def test_nonfinite_result_raises(self):
         law = ConstitutiveLaw.from_callable(lambda e: 1.0 / e, "reciprocal")
@@ -309,6 +312,9 @@ CONSISTENT_LAWS = [
       for c in (0.5, 1.25, 2.5)),
 ]
 FAILING_LAWS = ["1-eps", "1/(1+eps)-0.5", "1e-20*(1+eps)", "eps", "-eps", "2-eps^2"]
+# samples near the float max, whose chords would overflow as sums of two
+# samples; the convex law is consistent, the concave one only fails convexity
+NEAR_MAX_LAWS = [("1.7e308/(1+eps)", True), ("1.7e308-1e300*(eps/1e8)^2", False)]
 
 
 def test_mixing_stays_in_the_cone(monkeypatch):
@@ -400,7 +406,8 @@ class TestCheckHypotheses:
 
     @pytest.mark.parametrize(
         "src, verdict",
-        [(src, True) for src in CONSISTENT_LAWS] + [(src, False) for src in FAILING_LAWS],
+        [(src, True) for src in CONSISTENT_LAWS] + [(src, False) for src in FAILING_LAWS]
+        + NEAR_MAX_LAWS,
     )
     def test_verdict_table(self, src, verdict):
         assert check_hypotheses(ConstitutiveLaw.from_expression(src)).verdict is verdict
@@ -436,7 +443,7 @@ def loop_is_convex(law):
     pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
     mids = [law(0.5 * (pts[i] + pts[j])) for i, j in pairs]
     tol = nonlinear._PROBE_TOL * max(abs(v) for v in [*vals, *mids, law(0.0)])
-    return not any(m > 0.5 * (vals[i] + vals[j]) + tol for m, (i, j) in zip(mids, pairs))
+    return not any(m > 0.5 * vals[i] + 0.5 * vals[j] + tol for m, (i, j) in zip(mids, pairs))
 
 
 class TestArrayLaws:
@@ -527,6 +534,7 @@ class TestConvexityProbe:
         ConstitutiveLaw.from_expression("exp(-eps)+0.01*sin(eps)"),
         ConstitutiveLaw.from_expression("2-eps^2"),
         ConstitutiveLaw.from_callable(lambda e: 1e4 - e**2 if e < 100 else -e, "concave"),
+        *(ConstitutiveLaw.from_expression(src) for src, _ in NEAR_MAX_LAWS),
     ]
 
     @pytest.mark.parametrize("law", LAWS)
